@@ -63,49 +63,13 @@ void Run(const PatternSet& input, MinimizeApproach approach,
               MinimizeMethodName(kind, approach).c_str(), input.size(),
               stats.output_size, stats.millis);
   JsonResultLine("fig4_minimize", MinimizeMethodName(kind, approach),
-                 input.size(), /*threads=*/1, stats.millis);
-}
-
-/// Serial vs ParallelMinimize comparison for one method, medians over
-/// `repeats` runs; verifies the outputs are SetEquals-identical.
-/// Returns false on divergence.
-bool RunParallel(const PatternSet& input, MinimizeApproach approach,
-                 PatternIndexKind kind, size_t threads, int repeats) {
-  std::vector<double> serial_ms;
-  std::vector<double> parallel_ms;
-  PatternSet serial_out;
-  PatternSet parallel_out;
-  for (int r = 0; r < repeats; ++r) {
-    MinimizeStats stats;
-    serial_out = Minimize(input, approach, kind, &stats);
-    serial_ms.push_back(stats.millis);
-    parallel_out = ParallelMinimize(input, approach, kind, threads, &stats);
-    parallel_ms.push_back(stats.millis);
-  }
-  if (!serial_out.SetEquals(parallel_out)) {
-    std::printf("  !! parallel output DIVERGES from serial for %s\n",
-                MinimizeMethodName(kind, approach).c_str());
-    return false;
-  }
-  const double serial_med = Median(serial_ms);
-  const double parallel_med = Median(parallel_ms);
-  const std::string method = MinimizeMethodName(kind, approach);
-  std::printf("  %-3s %8zu patterns   serial %9.1f ms   %zu threads "
-              "%9.1f ms   speedup %.2fx\n",
-              method.c_str(), input.size(), serial_med, threads, parallel_med,
-              parallel_med > 0 ? serial_med / parallel_med : 0.0);
-  JsonResultLine("fig4_minimize_serial", method, input.size(), 1, serial_med);
-  JsonResultLine("fig4_minimize_parallel", method, input.size(), threads,
-                 parallel_med);
-  return true;
+                 input.size(), stats.millis);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Banner("Figure 4", "runtime of pattern minimization techniques");
-  const size_t threads = ParseThreadsFlag(argc, argv,
-                                          ThreadPool::DefaultThreadCount());
 
   Rng rng(2015);
   PatternSet left = RandomSide(1000, &rng);
@@ -142,18 +106,5 @@ int main(int argc, char** argv) {
         PatternIndexKind::kPathIndex);                        // C2
     std::printf("\n");
   }
-
-  std::printf("parallel minimization (signature-sharded, %zu threads, "
-              "median of 3; outputs verified SetEquals to serial):\n",
-              threads);
-  bool ok = true;
-  for (size_t n : {50000u, 100000u, 200000u}) {
-    PatternSet input = Subset(pool, n, &rng);
-    ok &= RunParallel(input, MinimizeApproach::kAllAtOnce,
-                      PatternIndexKind::kDiscriminationTree, threads, 3);  // D1
-    ok &= RunParallel(input, MinimizeApproach::kAllAtOnce,
-                      PatternIndexKind::kHashTable, threads, 3);           // B1
-    std::printf("\n");
-  }
-  return ok ? 0 : 1;
+  return 0;
 }

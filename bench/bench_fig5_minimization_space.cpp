@@ -41,10 +41,8 @@ PatternSet RandomSide(size_t n, Rng* rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Banner("Figure 5", "peak index space of pattern minimization methods");
-  const size_t threads = ParseThreadsFlag(argc, argv,
-                                          ThreadPool::DefaultThreadCount());
 
   Rng rng(2015);
   PatternSet left = RandomSide(1000, &rng);
@@ -84,23 +82,13 @@ int main(int argc, char** argv) {
       std::printf("  %6zu(%4zu)",
                   stats.peak_memory_bytes / 1024,
                   stats.peak_index_size);
-      JsonResultLine("fig5_space", m.label, n, /*threads=*/1, stats.millis,
+      JsonResultLine("fig5_space", m.label, n, stats.millis,
                      ",\"peak_bytes\":" +
                          std::to_string(stats.peak_memory_bytes) +
                          ",\"peak_patterns\":" +
                          std::to_string(stats.peak_index_size));
     }
     std::printf("\n");
-    // Sharded minimization holds one per-shard index per worker plus the
-    // merge index; record its peak for the same input for comparison.
-    MinimizeStats pstats;
-    ParallelMinimize(input, MinimizeApproach::kAllAtOnce,
-                     PatternIndexKind::kDiscriminationTree, threads, &pstats);
-    JsonResultLine("fig5_space_parallel", "D1", n, threads, pstats.millis,
-                   ",\"peak_bytes\":" +
-                       std::to_string(pstats.peak_memory_bytes) +
-                       ",\"peak_patterns\":" +
-                       std::to_string(pstats.peak_index_size));
   }
   std::printf("\nExpected shape (paper): B3/D3 columns stay tiny and may\n"
               "shrink at the largest inputs; B1/D1 grow linearly with the\n"

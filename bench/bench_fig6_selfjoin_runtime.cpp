@@ -31,11 +31,9 @@ PatternSet RandomSubset(const PatternSet& pool, size_t n, Rng* rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Banner("Figure 6",
          "instance-aware self-join runtime vs number of input patterns");
-  const size_t threads = ParseThreadsFlag(argc, argv,
-                                          ThreadPool::DefaultThreadCount());
 
   NetworkElementsConfig config;
   config.num_rows = 1000;  // paper: 1000 tuples in the database
@@ -69,8 +67,7 @@ int main(int argc, char** argv) {
       first_median = median;
     }
     std::printf("%9zu %12.2f %12.2f\n", n, median, Quantile(millis, 0.95));
-    JsonResultLine("fig6_selfjoin", "instance_aware", n, /*threads=*/1,
-                   median);
+    JsonResultLine("fig6_selfjoin", "instance_aware", n, median);
   }
   std::printf("\nquadratic check: scaling patterns by 3x (50 -> 150) should "
               "scale runtime by ~9x\n(paper reports quadratic growth); "
@@ -99,34 +96,7 @@ int main(int argc, char** argv) {
                    strategy == PatternJoinStrategy::kPartitionedHashJoin
                        ? "partitioned"
                        : "cross_select",
-                   150, /*threads=*/1, Median(millis));
-  }
-
-  // Parallel partitioned join: per-partition fan-out over a worker pool
-  // with per-thread dedup sinks (verified SetEquals to the serial join).
-  {
-    ThreadPool join_pool(threads);
-    std::vector<double> millis;
-    bool identical = true;
-    for (int run = 0; run < 20; ++run) {
-      PatternSet left = RandomSubset(pool, 150, &rng);
-      PatternSet right = RandomSubset(pool, 150, &rng);
-      WallTimer timer;
-      PatternSet parallel =
-          PatternJoin(left, join_attr, right, join_attr,
-                      PatternJoinStrategy::kPartitionedHashJoin, &join_pool);
-      millis.push_back(timer.ElapsedMillis());
-      identical = identical &&
-                  parallel.SetEquals(PatternJoin(
-                      left, join_attr, right, join_attr,
-                      PatternJoinStrategy::kPartitionedHashJoin));
-    }
-    std::printf("  %-24s median %8.3f ms  (%zu threads, SetEquals=%s)\n",
-                "parallel partitioned", Median(millis), threads,
-                identical ? "yes" : "NO");
-    JsonResultLine("fig6_join_ablation", "partitioned_parallel", 150, threads,
-                   Median(millis));
-    if (!identical) return 1;
+                   150, Median(millis));
   }
   return 0;
 }

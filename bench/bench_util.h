@@ -3,13 +3,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "pattern/pattern.h"
 #include "workloads/drop_simulation.h"
 #include "workloads/network_elements.h"
@@ -17,38 +14,18 @@
 namespace pcdb {
 namespace bench {
 
-/// Parses `--threads=N` (or `--threads N`) from the command line;
-/// `--threads=0` means "all hardware threads". Unrecognized arguments
-/// are ignored so benches stay forgiving.
-inline size_t ParseThreadsFlag(int argc, char** argv,
-                               size_t default_threads = 1) {
-  size_t threads = default_threads;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = static_cast<size_t>(std::strtoull(arg + 10, nullptr, 10));
-    } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-      ++i;
-    }
-  }
-  if (threads == 0) threads = ThreadPool::DefaultThreadCount();
-  return threads;
-}
-
 /// Emits one machine-readable result line for the BENCH_*.json
 /// trajectory tracking:
-///   {"bench":"fig4_minimize","method":"D1","n":50000,"threads":4,
-///    "median_ms":12.3}
+///   {"bench":"fig4_minimize","method":"D1","n":50000,"median_ms":12.3}
 /// `extra` may append further fields and must then start with a comma,
 /// e.g. ",\"peak_bytes\":1024".
 inline void JsonResultLine(const std::string& bench, const std::string& method,
-                           size_t n, size_t threads, double median_ms,
+                           size_t n, double median_ms,
                            const std::string& extra = "") {
   std::printf(
-      "{\"bench\":\"%s\",\"method\":\"%s\",\"n\":%zu,\"threads\":%zu,"
+      "{\"bench\":\"%s\",\"method\":\"%s\",\"n\":%zu,"
       "\"median_ms\":%.3f%s}\n",
-      bench.c_str(), method.c_str(), n, threads, median_ms, extra.c_str());
+      bench.c_str(), method.c_str(), n, median_ms, extra.c_str());
 }
 
 /// Prints the standard experiment banner.

@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/value.h"
 #include "fuzz_util.h"
 #include "pattern/algebra.h"
@@ -17,10 +16,9 @@
 /// union — the §4.1 algebra). The soundness/completeness theorems make
 /// every evaluation route an oracle for the others:
 ///   * Minimize must produce SetEquals-identical results across
-///     approaches 1–3 × index structures A–D (§4.4) and serial vs
-///     sharded ParallelMinimize;
+///     approaches 1–3 × index structures A–D (§4.4);
 ///   * PatternJoin must agree between the literal cross-product-select
-///     definition and the partitioned hash join, serial and pooled;
+///     definition and the partitioned hash join;
 ///   * minimization output must actually be minimal (IsMinimal).
 namespace {
 
@@ -84,16 +82,8 @@ void CheckMinimizeMatrix(const PatternSet& input, const std::string& trail) {
   }
   for (MinimizeApproach approach : kApproaches) {
     for (PatternIndexKind kind : kKinds) {
-      const PatternSet serial = Minimize(input, approach, kind);
-      if (!serial.SetEquals(reference)) {
+      if (!Minimize(input, approach, kind).SetEquals(reference)) {
         Violation("Minimize diverged for " +
-                      pcdb::MinimizeMethodName(kind, approach),
-                  trail + "\ninput:\n" + input.ToString());
-      }
-      const PatternSet parallel =
-          ParallelMinimize(input, approach, kind, /*num_threads=*/4);
-      if (!parallel.SetEquals(reference)) {
-        Violation("ParallelMinimize diverged for " +
                       pcdb::MinimizeMethodName(kind, approach),
                   trail + "\ninput:\n" + input.ToString());
       }
@@ -145,27 +135,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         const PatternSet right = TakePatternSet(&in, right_arity, 12);
         const size_t a = in.TakeBelow(current_arity);
         const size_t b = in.TakeBelow(right_arity);
-        // Differential join: literal definition vs partitioned, serial
-        // vs pooled. Equivalence holds up to subsumption, so compare
-        // minimized sets.
+        // Differential join: literal definition vs partitioned.
+        // Equivalence holds up to subsumption, so compare minimized sets.
         const PatternSet cross =
             PatternJoin(current, a, right, b,
                         pcdb::PatternJoinStrategy::kCrossProductSelect);
         const PatternSet part =
             PatternJoin(current, a, right, b,
                         pcdb::PatternJoinStrategy::kPartitionedHashJoin);
-        pcdb::ThreadPool pool(4);
-        const PatternSet pooled =
-            PatternJoin(current, a, right, b,
-                        pcdb::PatternJoinStrategy::kPartitionedHashJoin,
-                        &pool);
         if (!Minimize(part).SetEquals(Minimize(cross))) {
           Violation("partitioned join diverged from cross-product join",
-                    trail + "\nleft:\n" + current.ToString() + "right:\n" +
-                        right.ToString());
-        }
-        if (!pooled.SetEquals(part)) {
-          Violation("pooled join diverged from serial partitioned join",
                     trail + "\nleft:\n" + current.ToString() + "right:\n" +
                         right.ToString());
         }

@@ -272,9 +272,8 @@ const std::vector<std::string>& Failpoints::AllSites() {
       "csv.read",          // relational/csv.cc: ReadCsvString entry
       "csv.record",        // relational/csv.cc: per parsed record
       "eval.operator",     // relational/evaluator.cc: ApplyRootOperator
-      "eval.join.probe",   // relational/evaluator.cc: hash-join probe chunk
+      "eval.join.probe",   // relational/evaluator.cc: hash-join probe loop
       "minimize.pattern",  // pattern/minimize.cc: per-pattern inner loop
-      "minimize.shard",    // pattern/minimize.cc: per-shard task
       "annotated.operator",  // pattern/annotated_eval.cc: per plan node
       "pool.dispatch",     // common/thread_pool.cc: before each task runs
       "server.accept",     // server/net_socket.cc: Listener::Accept

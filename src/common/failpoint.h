@@ -25,7 +25,7 @@ namespace pcdb {
 ///
 ///   PCDB_FAILPOINTS="minimize.pattern=error;pool.dispatch=sleep(2)"
 ///   PCDB_FAILPOINTS="csv.record=once:throw;eval.operator=every(3):error(timeout)"
-///   PCDB_FAILPOINTS="minimize.shard=prob(0.25,42):error(resource_exhausted)"
+///   PCDB_FAILPOINTS="wal.fsync=prob(0.25,42):error(resource_exhausted)"
 ///
 /// Grammar per entry (';'-separated):  name '=' [trigger ':'] action
 ///   trigger:  once | every(N) | prob(P,SEED)        (default: always)

@@ -25,7 +25,7 @@
 /// string and emit nothing.
 ///
 /// This is the only sanctioned way to write diagnostics from src/
-/// (pcdb_lint.py's naked-output rule enforces it); stdout stays
+/// (pcdb-analyze's `naked-output` checker enforces it); stdout stays
 /// reserved for program output (query answers, the pcdbd listening
 /// line, metrics dumps).
 

@@ -8,7 +8,7 @@
 /// Clang Thread Safety Analysis support (-Wthread-safety) for the whole
 /// codebase, plus the annotated synchronization primitives every other
 /// file must use instead of raw <mutex> types (enforced by
-/// tools/pcdb_lint.py).
+/// pcdb-analyze's `naked-mutex` checker).
 ///
 /// The macros expand to the clang `thread_safety` attributes when the
 /// compiler supports them and to nothing otherwise, so GCC builds are

@@ -1,17 +1,12 @@
 #ifndef PCDB_COMMON_THREAD_POOL_H_
 #define PCDB_COMMON_THREAD_POOL_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <numeric>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
@@ -22,24 +17,19 @@ namespace pcdb {
 ///
 /// Tasks are plain std::function<void()> jobs executed FIFO by whichever
 /// worker frees up first; Wait() blocks until every task submitted so far
-/// has finished (a wait group, not a shutdown). The pool is deliberately
-/// work-stealing-free: callers that need deterministic results partition
-/// their work into indexed tasks that each write a private, pre-allocated
-/// output slot, then combine the slots in index order after Wait() — see
-/// ParallelFor below.
+/// has finished (a wait group, not a shutdown). The pool runs whole
+/// requests concurrently (the server's eval and loop pools, the
+/// coordinator's scatter legs, the load generator); a single query is
+/// always evaluated serially.
 ///
 /// Tasks may fail: a throwing task is caught in the worker, converted to
 /// Status::Internal, and recorded as the pool's first failure; once a
 /// failure is recorded, tasks still in the queue are skipped instead of
 /// run (first-error cancel-the-rest). Submitters retrieve and clear the
-/// failure with ConsumeStatus() after Wait() — the Status-returning
-/// TryParallelFor wrappers below do this automatically. The void
-/// ParallelFor wrappers treat any captured failure as a programming
-/// error (they have no channel to report it).
+/// failure with ConsumeStatus() after Wait().
 ///
 /// With num_threads <= 1 no worker threads are spawned and Submit runs
-/// the task inline, so serial callers pay nothing and single-threaded
-/// determinism is trivially preserved.
+/// the task inline.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (0 and 1 both mean "inline").
@@ -69,12 +59,6 @@ class ThreadPool {
     return workers_.empty() ? 1 : workers_.size();
   }
 
-  /// A sane default: the hardware concurrency, or 1 when unknown.
-  static size_t DefaultThreadCount() {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<size_t>(hw);
-  }
-
  private:
   void WorkerLoop() PCDB_EXCLUDES(mu_);
 
@@ -97,194 +81,6 @@ class ThreadPool {
   /// queued tasks are skipped (cancel-the-rest).
   Status first_error_ PCDB_GUARDED_BY(mu_);
 };
-
-/// A half-open index range [begin, end); the unit of work scheduling for
-/// the chunked parallel loops below.
-struct IndexRange {
-  size_t begin = 0;
-  size_t end = 0;
-  bool operator==(const IndexRange& other) const {
-    return begin == other.begin && end == other.end;
-  }
-};
-
-/// How many chunks a parallel loop over `n` items should use on a pool
-/// with `num_threads` workers. Oversubscribing each worker (up to 8
-/// chunks apiece) lets the FIFO queue rebalance skewed per-item costs:
-/// a worker stuck on one expensive chunk no longer idles the rest, they
-/// drain the remaining chunks. Chunks never outnumber items.
-inline size_t ParallelChunkCount(size_t num_threads, size_t n) {
-  if (num_threads <= 1 || n <= 1) return n == 0 ? 0 : 1;
-  constexpr size_t kOversubscription = 8;
-  return std::min(n, num_threads * kOversubscription);
-}
-
-/// Splits [0, n) into exactly min(n, num_chunks) contiguous, non-empty
-/// ranges covering every index once, with chunk sizes differing by at
-/// most one (the first n % chunks ranges take the extra element).
-inline std::vector<IndexRange> ChunkRanges(size_t n, size_t num_chunks) {
-  std::vector<IndexRange> ranges;
-  if (n == 0 || num_chunks == 0) return ranges;
-  num_chunks = std::min(num_chunks, n);
-  ranges.reserve(num_chunks);
-  const size_t base = n / num_chunks;
-  const size_t extra = n % num_chunks;
-  size_t begin = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t end = begin + base + (c < extra ? 1 : 0);
-    ranges.push_back({begin, end});
-    begin = end;
-  }
-  return ranges;
-}
-
-/// Splits [0, weights.size()) into roughly `num_chunks` contiguous,
-/// non-empty ranges whose total weights are balanced: a chunk closes
-/// once it reaches the ideal share total/num_chunks, and an item at
-/// least that heavy is isolated in a chunk of its own instead of
-/// dragging a run of light neighbours with it. Size-aware counterpart
-/// of ChunkRanges for loops whose per-item cost is known up front
-/// (e.g. patterns per minimization shard).
-inline std::vector<IndexRange> WeightedChunkRanges(
-    const std::vector<size_t>& weights, size_t num_chunks) {
-  std::vector<IndexRange> ranges;
-  const size_t n = weights.size();
-  if (n == 0 || num_chunks == 0) return ranges;
-  num_chunks = std::min(num_chunks, n);
-  const size_t total =
-      std::accumulate(weights.begin(), weights.end(), size_t{0});
-  if (total == 0) return ChunkRanges(n, num_chunks);
-  const size_t target =
-      std::max<size_t>(1, (total + num_chunks - 1) / num_chunks);
-  size_t begin = 0;
-  size_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (i > begin && acc > 0 && weights[i] >= target) {
-      // Close the light prefix so the heavy item starts its own chunk.
-      ranges.push_back({begin, i});
-      begin = i;
-      acc = 0;
-    }
-    acc += weights[i];
-    if (acc >= target || i + 1 == n) {
-      ranges.push_back({begin, i + 1});
-      begin = i + 1;
-      acc = 0;
-    }
-  }
-  return ranges;
-}
-
-/// Runs `fn(c, ranges[c])` (returning Status) for every chunk index c on
-/// `pool`, blocking until all chunks finish or fail. First-error
-/// cancel-the-rest: once a chunk returns non-OK (or a task throws, or
-/// the pool.dispatch failpoint fires) the remaining chunks are skipped
-/// cooperatively and the failure is returned. When several chunks fail
-/// concurrently, the lowest-indexed chunk failure is reported. On the
-/// serial path chunks run in order and stop at the first failure, so
-/// serial and parallel runs return identical error codes.
-template <typename Fn>
-[[nodiscard]] Status TryParallelForRanges(ThreadPool* pool,
-                            const std::vector<IndexRange>& ranges,
-                            const Fn& fn) {
-  if (ranges.empty()) return Status::OK();
-  if (pool == nullptr || pool->num_threads() <= 1 || ranges.size() == 1) {
-    for (size_t c = 0; c < ranges.size(); ++c) {
-      PCDB_RETURN_NOT_OK(fn(c, ranges[c]));
-    }
-    return Status::OK();
-  }
-  std::vector<Status> chunk_status(ranges.size());
-  std::atomic<bool> stop{false};
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    pool->Submit([c, &ranges, &fn, &chunk_status, &stop] {
-      if (stop.load(std::memory_order_relaxed)) return;  // cancelled
-      Status st = fn(c, ranges[c]);
-      if (!st.ok()) {
-        chunk_status[c] = std::move(st);
-        stop.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  pool->Wait();
-  Status pool_status = pool->ConsumeStatus();
-  for (Status& st : chunk_status) {
-    if (!st.ok()) return std::move(st);
-  }
-  return pool_status;
-}
-
-/// Runs fn(c, ranges[c]) for every chunk index c on `pool` (one task per
-/// chunk so the queue balances skew), blocking until all chunks finish.
-/// Chunk indices are stable, so callers get deterministic results by
-/// writing to per-chunk slots and merging them in index order. The
-/// chunks carry no error channel, so a captured task failure (throw or
-/// injected dispatch fault) is a programming error here — use
-/// TryParallelForRanges for fallible chunks.
-template <typename Fn>
-void ParallelForRanges(ThreadPool* pool, const std::vector<IndexRange>& ranges,
-                       const Fn& fn) {
-  if (ranges.empty()) return;
-  if (pool == nullptr || pool->num_threads() <= 1 || ranges.size() == 1) {
-    for (size_t c = 0; c < ranges.size(); ++c) fn(c, ranges[c]);
-    return;
-  }
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    pool->Submit([c, &ranges, &fn] { fn(c, ranges[c]); });
-  }
-  pool->Wait();
-  Status status = pool->ConsumeStatus();
-  PCDB_CHECK(status.ok())
-      << "task failed in a void ParallelFor (use TryParallelFor for "
-         "fallible tasks): "
-      << status.ToString();
-}
-
-/// Runs `fn(i)` for every i in [0, n) on `pool`, blocking until all
-/// iterations finish. Iterations are grouped into contiguous chunks
-/// (several per worker, see ParallelChunkCount) so per-chunk state stays
-/// cache-local while skewed iteration costs still rebalance; `fn` must
-/// be safe to call concurrently for distinct i. Results are
-/// deterministic whenever fn(i) writes only to an i-indexed slot.
-template <typename Fn>
-void ParallelFor(ThreadPool* pool, size_t n, const Fn& fn) {
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const auto ranges = ChunkRanges(n, ParallelChunkCount(threads, n));
-  ParallelForRanges(pool, ranges, [&fn](size_t, IndexRange r) {
-    for (size_t i = r.begin; i < r.end; ++i) fn(i);
-  });
-}
-
-/// Status-returning ParallelFor: runs `fn(i)` (returning Status) for
-/// every i in [0, n), with the same chunking as ParallelFor and the
-/// first-error cancel-the-rest semantics of TryParallelForRanges.
-/// Iterations inside one chunk stop at the first failure.
-template <typename Fn>
-[[nodiscard]] Status TryParallelFor(ThreadPool* pool, size_t n, const Fn& fn) {
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const auto ranges = ChunkRanges(n, ParallelChunkCount(threads, n));
-  return TryParallelForRanges(pool, ranges,
-                              [&fn](size_t, IndexRange r) -> Status {
-                                for (size_t i = r.begin; i < r.end; ++i) {
-                                  PCDB_RETURN_NOT_OK(fn(i));
-                                }
-                                return Status::OK();
-                              });
-}
-
-/// Size-aware ParallelFor: `weights[i]` estimates the cost of fn(i), and
-/// chunk boundaries follow WeightedChunkRanges so heavy items no longer
-/// share a chunk with (and serialize behind) a long run of light ones.
-template <typename Fn>
-void WeightedParallelFor(ThreadPool* pool, const std::vector<size_t>& weights,
-                         const Fn& fn) {
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const auto ranges = WeightedChunkRanges(
-      weights, ParallelChunkCount(threads, weights.size()));
-  ParallelForRanges(pool, ranges, [&fn](size_t, IndexRange r) {
-    for (size_t i = r.begin; i < r.end; ++i) fn(i);
-  });
-}
 
 }  // namespace pcdb
 

@@ -18,7 +18,7 @@
 /// (the checker fails on a missing entry), and use it at the site.
 ///
 /// Span naming convention: `<layer>.<operation>` (server.query,
-/// minimize.parallel, pattern.join); the two legacy top-level names
+/// minimize.all_at_once, pattern.join); the two legacy top-level names
 /// (evaluate_annotated, compute_query_patterns) predate the convention
 /// and are kept — renaming spans breaks saved traces and dashboards.
 /// Metric convention: snake_case, `_total` suffix for counters that
@@ -103,7 +103,6 @@ inline constexpr char kSpanMinimizeAllAtOnce[] = "minimize.all_at_once";
 inline constexpr char kSpanMinimizeIncremental[] = "minimize.incremental";
 inline constexpr char kSpanMinimizeSortedIncremental[] =
     "minimize.sorted_incremental";
-inline constexpr char kSpanMinimizeParallel[] = "minimize.parallel";
 inline constexpr char kSpanMinimize[] = "minimize";
 
 /// Every span name the engine can emit. check_trace.py fails a trace
@@ -157,7 +156,6 @@ inline constexpr const char* kAllSpanNames[] = {
     kSpanMinimizeAllAtOnce,
     kSpanMinimizeIncremental,
     kSpanMinimizeSortedIncremental,
-    kSpanMinimizeParallel,
     kSpanMinimize,
 };
 

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace pcdb {
 namespace {
@@ -138,7 +137,7 @@ void EmitJoinedPair(const Pattern& combined, size_t a, size_t b,
 
 PatternSet PatternJoin(const PatternSet& left, size_t attr_a,
                        const PatternSet& right, size_t attr_b,
-                       PatternJoinStrategy strategy, ThreadPool* pool) {
+                       PatternJoinStrategy strategy) {
   if (left.empty() || right.empty()) return PatternSet();
   const size_t left_arity = left[0].arity();
   const size_t a = attr_a;
@@ -180,71 +179,21 @@ PatternSet PatternJoin(const PatternSet& left, size_t attr_a,
     }
   }
 
-  // One unit per left pattern: its partition-mate span on the right.
-  struct JoinUnit {
-    const Pattern* l;
-    const std::vector<const Pattern*>* rs;
+  // Each left pattern joins with its partition mates on the right.
+  auto join_with = [&](const Pattern& l,
+                       const std::vector<const Pattern*>& rs) {
+    for (const Pattern* r : rs) EmitJoinedPair(l.Concat(*r), a, b, &sink);
   };
-  std::vector<JoinUnit> units;
-  units.reserve(left.size());
   // (*,*) and (*,d): left wildcard joins with everything.
-  for (const Pattern* l : left_wild) units.push_back({l, &right_all});
+  for (const Pattern* l : left_wild) join_with(*l, right_all);
   // (d,*) and (d,d): constant left with the wildcard partition and its
   // matching constant partition.
   for (const auto& [value, ls] : left_by) {
     auto it = right_by.find(value);
-    const std::vector<const Pattern*>* match =
-        it == right_by.end() ? nullptr : &it->second;
     for (const Pattern* l : ls) {
-      units.push_back({l, &right_wild});
-      if (match != nullptr) units.push_back({l, match});
+      join_with(*l, right_wild);
+      if (it != right_by.end()) join_with(*l, it->second);
     }
-  }
-
-  auto run_units = [&](size_t begin, size_t end, DedupSink* out) {
-    for (size_t u = begin; u < end; ++u) {
-      const Pattern& l = *units[u].l;
-      for (const Pattern* r : *units[u].rs) {
-        EmitJoinedPair(l.Concat(*r), a, b, out);
-      }
-    }
-  };
-
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  // Units are heavily skewed: a wildcard-side unit spans the whole right
-  // set while a constant-partition unit may span a handful of patterns.
-  // Size-aware chunking keeps the heavy units from serializing behind
-  // runs of light ones.
-  std::vector<size_t> unit_weights(units.size());
-  for (size_t u = 0; u < units.size(); ++u) {
-    unit_weights[u] = units[u].rs->size() + 1;
-  }
-  const std::vector<IndexRange> ranges = WeightedChunkRanges(
-      unit_weights, ParallelChunkCount(threads, units.size()));
-  if (ranges.size() <= 1) {
-    run_units(0, units.size(), &sink);
-    return sink.Take();
-  }
-  // Fan out: contiguous unit chunks, one private sink per chunk, merged
-  // in chunk order so the output is deterministic. PatternJoin's
-  // signature has no error channel, so an injected dispatch fault
-  // (pool.dispatch failpoint) is absorbed by recomputing serially into a
-  // fresh sink — the partial chunk sinks may be half-filled, the fresh
-  // sink is not.
-  std::vector<DedupSink> partial(ranges.size());
-  Status status = TryParallelForRanges(
-      pool, ranges, [&](size_t c, IndexRange r) -> Status {
-        run_units(r.begin, r.end, &partial[c]);
-        return Status::OK();
-      });
-  if (!status.ok()) {
-    DedupSink serial;
-    run_units(0, units.size(), &serial);
-    for (const Pattern& q : serial.Take()) sink.Add(q);
-    return sink.Take();
-  }
-  for (DedupSink& p : partial) {
-    for (const Pattern& q : p.Take()) sink.Add(q);
   }
   return sink.Take();
 }

@@ -9,8 +9,6 @@
 
 namespace pcdb {
 
-class ThreadPool;
-
 /// \brief The pattern algebra of §4.1: for every SPJ data operator, an
 /// analogous operator on metadata relations (sets of completeness
 /// patterns).
@@ -71,17 +69,10 @@ enum class PatternJoinStrategy {
 /// P ⋈̃_{A=B} P' (§4.1.4): the wildcard joins with any constant. `attr_a`
 /// indexes into left patterns, `attr_b` into right patterns; the output
 /// arity is left + right with right cells appended.
-///
-/// With a non-null `pool` the partitioned strategy fans the
-/// (*,*)/(*,d)/(d,*)/(d,d) partitions out across the pool's workers,
-/// each filling a private deduplicating sink; the sinks are merged in a
-/// fixed order afterwards, so the result is deterministic and
-/// SetEquals-identical to the serial join.
 PatternSet PatternJoin(
     const PatternSet& left, size_t attr_a, const PatternSet& right,
     size_t attr_b,
-    PatternJoinStrategy strategy = PatternJoinStrategy::kPartitionedHashJoin,
-    ThreadPool* pool = nullptr);
+    PatternJoinStrategy strategy = PatternJoinStrategy::kPartitionedHashJoin);
 
 /// The pattern analogue of UNION ALL (an extension beyond the paper's
 /// operator set): a pattern holds over R1 ⊎ R2 iff it holds over both

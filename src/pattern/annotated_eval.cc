@@ -1,9 +1,6 @@
 #include "pattern/annotated_eval.h"
 
-#include <memory>
-
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -67,7 +64,6 @@ const char* ProfileOpName(ExprKind kind) {
 /// minimal set fits — all-at-once loads every input pattern first and
 /// would trip spuriously.
 Result<PatternSet> MinimizeWithDegradation(const PatternSet& patterns,
-                                           ThreadPool* pool,
                                            const ExecContext& ctx,
                                            bool* degraded,
                                            AnnotatedEvalInfo* info,
@@ -75,9 +71,9 @@ Result<PatternSet> MinimizeWithDegradation(const PatternSet& patterns,
   const MinimizeApproach approach =
       ctx.has_pattern_budget() ? MinimizeApproach::kSortedIncremental
                                : MinimizeApproach::kAllAtOnce;
-  Result<PatternSet> out = ParallelMinimize(
-      patterns, approach, PatternIndexKind::kDiscriminationTree, pool, ctx,
-      min_stats);
+  Result<PatternSet> out =
+      Minimize(patterns, approach, PatternIndexKind::kDiscriminationTree, ctx,
+               min_stats);
   if (out.ok() || out.status().code() != StatusCode::kResourceExhausted ||
       !ctx.has_pattern_budget()) {
     return out;
@@ -88,16 +84,29 @@ Result<PatternSet> MinimizeWithDegradation(const PatternSet& patterns,
   return SummarizePatterns(patterns, ctx.pattern_budget());
 }
 
+/// The one evaluation recursion behind both entry points. Each plan node
+/// runs the pattern step (ComputePatterns, then per-operator
+/// minimization) and then the data step. EvaluateAnnotated runs it with
+/// data. ComputeQueryPatterns runs it without: the pattern algebra is
+/// schema-level (§4.1), so a node needs only its output schema, which
+/// it carries in a table with no rows, and the data step shrinks to
+/// computing that schema.
 class AnnotatedEvaluator {
  public:
+  /// `with_data` false selects the schema-only mode. If
+  /// `total_intermediate_patterns` is given, every node adds the size
+  /// of its pattern set before minimization to it.
   AnnotatedEvaluator(const AnnotatedDatabase& adb,
                      const AnnotatedEvalOptions& options,
-                     const ExecContext& ctx, AnnotatedEvalInfo* info)
-      : adb_(adb), options_(options), ctx_(ctx), info_(info) {
-    if (options.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    }
-  }
+                     const ExecContext& ctx, AnnotatedEvalInfo* info,
+                     bool with_data = true,
+                     size_t* total_intermediate_patterns = nullptr)
+      : adb_(adb),
+        options_(options),
+        ctx_(ctx),
+        info_(info),
+        with_data_(with_data),
+        total_intermediate_patterns_(total_intermediate_patterns) {}
 
   Result<AnnotatedTable> Eval(const Expr& expr, int depth = 0) {
     PCDB_FAILPOINT("annotated.operator");
@@ -129,6 +138,9 @@ class AnnotatedEvaluator {
     {
       PCDB_TRACE_SPAN(span, PatternSpanName(expr.kind()));
       PCDB_ASSIGN_OR_RETURN(patterns, ComputePatterns(expr, left, right));
+      if (total_intermediate_patterns_ != nullptr) {
+        *total_intermediate_patterns_ += patterns.size();
+      }
       if (info_ != nullptr) {
         info_->max_intermediate_patterns =
             std::max(info_->max_intermediate_patterns, patterns.size());
@@ -138,8 +150,8 @@ class AnnotatedEvaluator {
         MinimizeStats min_stats;
         PCDB_ASSIGN_OR_RETURN(
             patterns,
-            MinimizeWithDegradation(patterns, pool_.get(), ctx_, &degraded_,
-                                    info_, profiling ? &min_stats : nullptr));
+            MinimizeWithDegradation(patterns, ctx_, &degraded_, info_,
+                                    profiling ? &min_stats : nullptr));
         if (profiling) op.probes = min_stats.probes;
       } else if (profiling) {
         op.probes = 0;
@@ -150,10 +162,7 @@ class AnnotatedEvaluator {
     if (info_ != nullptr) info_->pattern_millis += pattern_millis;
 
     timer.Reset();
-    PCDB_ASSIGN_OR_RETURN(
-        Table data,
-        ApplyRootOperator(expr, adb_.database(), std::move(left.data),
-                          std::move(right.data), pool_.get(), ctx_));
+    PCDB_ASSIGN_OR_RETURN(Table data, DataStep(expr, left, right));
     const double data_millis = timer.ElapsedMillis();
     if (info_ != nullptr) info_->data_millis += data_millis;
 
@@ -185,6 +194,22 @@ class AnnotatedEvaluator {
   }
 
  private:
+  /// The data half of a node: the operator applied to the children's
+  /// rows, or, without data, an empty table with the operator's output
+  /// schema (a scan never copies the base table's rows).
+  Result<Table> DataStep(const Expr& expr, AnnotatedTable& left,
+                         AnnotatedTable& right) {
+    if (!with_data_) {
+      PCDB_ASSIGN_OR_RETURN(
+          Schema schema,
+          expr.RootOutputSchema(adb_.database(), left.data.schema(),
+                                right.data.schema()));
+      return Table(std::move(schema));
+    }
+    return ApplyRootOperator(expr, adb_.database(), std::move(left.data),
+                             std::move(right.data), ctx_);
+  }
+
   Result<PatternSet> ComputePatterns(const Expr& expr,
                                      const AnnotatedTable& left,
                                      const AnnotatedTable& right) {
@@ -246,7 +271,7 @@ class AnnotatedEvaluator {
           if (info_ != nullptr) info_->promotion.MergeFrom(stats);
         } else {
           out = PatternJoin(left.patterns, a, right.patterns, b,
-                            options_.join_strategy, pool_.get());
+                            options_.join_strategy);
         }
         if (options_.zombies) {
           const std::vector<Value>* left_domain =
@@ -296,144 +321,9 @@ class AnnotatedEvaluator {
   const AnnotatedEvalOptions& options_;
   const ExecContext& ctx_;
   AnnotatedEvalInfo* info_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
+  const bool with_data_;
+  size_t* total_intermediate_patterns_;
   /// Latched once any intermediate set degrades to a summary.
-  bool degraded_ = false;
-};
-
-/// Schema-only recursion: computes (output schema, pattern set) per node
-/// without evaluating any data.
-class SchemaOnlyEvaluator {
- public:
-  SchemaOnlyEvaluator(const AnnotatedDatabase& adb,
-                      const AnnotatedEvalOptions& options,
-                      const ExecContext& ctx, size_t* cost)
-      : adb_(adb), options_(options), ctx_(ctx), cost_(cost) {
-    if (options.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    }
-  }
-
-  struct Node {
-    Schema schema;
-    PatternSet patterns;
-  };
-
-  Result<Node> Eval(const Expr& expr) {
-    PCDB_FAILPOINT("annotated.operator");
-    PCDB_RETURN_NOT_OK(ctx_.Check());
-    Node left;
-    Node right;
-    if (expr.left() != nullptr) {
-      PCDB_ASSIGN_OR_RETURN(left, Eval(*expr.left()));
-    }
-    if (expr.right() != nullptr) {
-      PCDB_ASSIGN_OR_RETURN(right, Eval(*expr.right()));
-    }
-    PCDB_TRACE_SPAN(span, PatternSpanName(expr.kind()));
-    PCDB_ASSIGN_OR_RETURN(Node node, Apply(expr, left, right));
-    if (cost_ != nullptr) *cost_ += node.patterns.size();
-    if (options_.minimize_each_step) {
-      PCDB_ASSIGN_OR_RETURN(
-          node.patterns,
-          MinimizeWithDegradation(node.patterns, pool_.get(), ctx_,
-                                  &degraded_, /*info=*/nullptr,
-                                  /*min_stats=*/nullptr));
-    }
-    span.Arg("patterns", node.patterns.size());
-    return node;
-  }
-
-  /// Root-level budget guarantee; see AnnotatedEvaluator::EvalRoot.
-  Result<Node> EvalRoot(const Expr& expr) {
-    PCDB_ASSIGN_OR_RETURN(Node node, Eval(expr));
-    if (ctx_.has_pattern_budget() &&
-        node.patterns.size() > ctx_.pattern_budget()) {
-      node.patterns = SummarizePatterns(node.patterns, ctx_.pattern_budget());
-      degraded_ = true;
-      EngineMetrics().degraded_to_summary->Increment();
-    }
-    return node;
-  }
-
-  bool degraded() const { return degraded_; }
-
- private:
-  Result<Node> Apply(const Expr& expr, const Node& left, const Node& right) {
-    switch (expr.kind()) {
-      case ExprKind::kScan: {
-        PCDB_ASSIGN_OR_RETURN(Schema schema,
-                              expr.OutputSchema(adb_.database()));
-        return Node{std::move(schema), adb_.patterns(expr.table_name())};
-      }
-      case ExprKind::kSelectConst: {
-        PCDB_ASSIGN_OR_RETURN(size_t idx, left.schema.Resolve(expr.attr()));
-        return Node{left.schema, PatternSelectConst(left.patterns, idx,
-                                                    expr.constant())};
-      }
-      case ExprKind::kSelectAttrEq: {
-        PCDB_ASSIGN_OR_RETURN(size_t a, left.schema.Resolve(expr.attr()));
-        PCDB_ASSIGN_OR_RETURN(size_t b, left.schema.Resolve(expr.attr2()));
-        return Node{left.schema, PatternSelectAttrEq(left.patterns, a, b)};
-      }
-      case ExprKind::kProjectOut: {
-        PCDB_ASSIGN_OR_RETURN(size_t idx, left.schema.Resolve(expr.attr()));
-        return Node{left.schema.WithoutColumn(idx),
-                    PatternProjectOut(left.patterns, idx)};
-      }
-      case ExprKind::kRearrange: {
-        std::vector<size_t> indices;
-        indices.reserve(expr.attrs().size());
-        for (const std::string& a : expr.attrs()) {
-          PCDB_ASSIGN_OR_RETURN(size_t idx, left.schema.Resolve(a));
-          indices.push_back(idx);
-        }
-        return Node{left.schema.Select(indices),
-                    PatternRearrange(left.patterns, indices)};
-      }
-      case ExprKind::kJoin: {
-        Schema schema = left.schema.Concat(right.schema);
-        if (expr.attr().empty()) {
-          return Node{std::move(schema),
-                      PatternCross(left.patterns, right.patterns)};
-        }
-        PCDB_ASSIGN_OR_RETURN(size_t a, left.schema.Resolve(expr.attr()));
-        PCDB_ASSIGN_OR_RETURN(size_t b, right.schema.Resolve(expr.attr2()));
-        return Node{std::move(schema),
-                    PatternJoin(left.patterns, a, right.patterns, b,
-                                options_.join_strategy, pool_.get())};
-      }
-      case ExprKind::kAggregate: {
-        std::vector<size_t> group_idx;
-        group_idx.reserve(expr.attrs().size());
-        for (const std::string& g : expr.attrs()) {
-          PCDB_ASSIGN_OR_RETURN(size_t idx, left.schema.Resolve(g));
-          group_idx.push_back(idx);
-        }
-        PCDB_ASSIGN_OR_RETURN(Schema schema,
-                              expr.OutputSchema(adb_.database()));
-        // OutputSchema recomputes the whole subtree, which is redundant
-        // but cheap; only the aggregate's column list is needed here.
-        return Node{std::move(schema),
-                    PatternAggregate(left.patterns, group_idx,
-                                     expr.aggs().size())};
-      }
-      case ExprKind::kSort:
-        return Node{left.schema, left.patterns};
-      case ExprKind::kLimit:
-        return Node{left.schema, PatternLimit(left.patterns)};
-      case ExprKind::kUnion:
-        return Node{left.schema,
-                    PatternUnion(left.patterns, right.patterns)};
-    }
-    return Status::Internal("unhandled expression kind");
-  }
-
-  const AnnotatedDatabase& adb_;
-  const AnnotatedEvalOptions& options_;
-  const ExecContext& ctx_;
-  size_t* cost_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
   bool degraded_ = false;
 };
 
@@ -451,8 +341,7 @@ Result<AnnotatedTable> EvaluateAnnotated(const Expr& expr,
                                          const AnnotatedEvalOptions& options,
                                          const ExecContext& ctx,
                                          AnnotatedEvalInfo* info) {
-  // The exception guard catches throw-action failpoints on the serial
-  // path (the pool path already converts them worker-side), so every
+  // The exception guard catches throw-action failpoints, so every
   // injected fault surfaces as a Status from this entry point.
   TraceContextScope trace_scope(ctx.trace());
   PCDB_TRACE_SPAN(span, kSpanEvaluateAnnotated);
@@ -494,12 +383,12 @@ Result<PatternSet> ComputeQueryPatterns(const Expr& expr,
   TraceContextScope trace_scope(ctx.trace());
   PCDB_TRACE_SPAN(span, kSpanComputeQueryPatterns);
   try {
-    SchemaOnlyEvaluator evaluator(adb, options, ctx,
-                                  total_intermediate_patterns);
-    PCDB_ASSIGN_OR_RETURN(SchemaOnlyEvaluator::Node node,
-                          evaluator.EvalRoot(expr));
-    if (degraded != nullptr) *degraded = evaluator.degraded();
-    return std::move(node.patterns);
+    AnnotatedEvaluator evaluator(adb, options, ctx, /*info=*/nullptr,
+                                 /*with_data=*/false,
+                                 total_intermediate_patterns);
+    PCDB_ASSIGN_OR_RETURN(AnnotatedTable out, evaluator.EvalRoot(expr));
+    if (degraded != nullptr) *degraded = out.degraded;
+    return std::move(out.patterns);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("pattern computation failed: ") +
                             e.what());

@@ -24,11 +24,6 @@ struct AnnotatedEvalOptions {
   /// sets small; promotion and zombies in particular produce many
   /// subsumed patterns (Tables 9, 10).
   bool minimize_each_step = true;
-  /// Worker threads shared by the whole evaluation: per-operator
-  /// minimization (ParallelMinimize), the partitioned pattern join, and
-  /// the data-side hash-join probe all fan out over one pool. 1 = the
-  /// serial paths; results are SetEquals/bit-identical either way.
-  size_t num_threads = 1;
   PatternJoinStrategy join_strategy =
       PatternJoinStrategy::kPartitionedHashJoin;
   PromotionOptions promotion;
@@ -110,12 +105,15 @@ struct AnnotatedEvalInfo {
 /// (§4.1), so the reasoner can run outside the DBMS (§6, "Placement of
 /// Reasoner").
 ///
-/// Only the schema-level algebra is available here: the instance-aware
-/// extension (§5) and zombie generation read tuples, so
+/// This is EvaluateAnnotated's recursion run without data: every node
+/// carries only its output schema, and the same pattern step yields the
+/// same patterns. Only the schema-level algebra is available here: the
+/// instance-aware extension (§5) and zombie generation read tuples, so
 /// options.instance_aware and options.zombies must be false
 /// (InvalidArgument otherwise). If `total_intermediate_patterns` is
 /// given, it receives the summed sizes of all intermediate pattern sets
-/// — the cost measure the metadata plan optimizer minimizes.
+/// before minimization — the cost measure the metadata plan optimizer
+/// minimizes.
 [[nodiscard]] Result<PatternSet> ComputeQueryPatterns(
     const Expr& expr, const AnnotatedDatabase& adb,
     const AnnotatedEvalOptions& options = {},

@@ -1,16 +1,13 @@
 #include "pattern/minimize.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/failpoint.h"
-#include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
-#include "pattern/signature.h"
 
 namespace pcdb {
 
@@ -74,43 +71,10 @@ Result<PatternSet> MinimizeAllAtOnce(const PatternSet& input,
   return out;
 }
 
-/// Index size from which the incremental approach switches its
-/// supersumption retrieval to a chunked parallel scan. Below this the
-/// per-call snapshot + fan-out overhead beats any win.
-constexpr size_t kParallelScanMinIndexSize = 256;
-
-/// Parallel supersumption retrieval: the set of stored patterns strictly
-/// subsumed by `p`, computed by a chunked scan over a contents snapshot
-/// instead of the index's own CollectSubsumed walk. Yields the same
-/// *set* (survivor state is therefore identical to the serial run);
-/// only the collection order differs, which Remove-then-Insert erases.
-Status ParallelCollectSubsumed(const PatternIndex& index, const Pattern& p,
-                               ThreadPool* pool, const ExecContext& ctx,
-                               std::vector<Pattern>* out) {
-  const std::vector<Pattern> snapshot = index.Contents();
-  const auto ranges = ChunkRanges(
-      snapshot.size(),
-      ParallelChunkCount(pool->num_threads(), snapshot.size()));
-  std::vector<std::vector<Pattern>> hits(ranges.size());
-  PCDB_RETURN_NOT_OK(TryParallelForRanges(
-      pool, ranges, [&](size_t c, IndexRange r) -> Status {
-        PCDB_RETURN_NOT_OK(ctx.Check());
-        for (size_t i = r.begin; i < r.end; ++i) {
-          if (p.StrictlySubsumes(snapshot[i])) hits[c].push_back(snapshot[i]);
-        }
-        return Status::OK();
-      }));
-  for (std::vector<Pattern>& h : hits) {
-    for (Pattern& q : h) out->push_back(std::move(q));
-  }
-  return Status::OK();
-}
-
 Result<PatternSet> MinimizeIncremental(const PatternSet& input,
                                        PatternIndexKind kind,
                                        const ExecContext& ctx,
                                        MinimizeStats* stats,
-                                       ThreadPool* scan_pool,
                                        size_t* probes) {
   if (input.empty()) return PatternSet();
   auto index = MakePatternIndex(kind, input[0].arity());
@@ -123,17 +87,10 @@ Result<PatternSet> MinimizeIncremental(const PatternSet& input,
     ++*probes;
     if (index->HasSubsumer(p, /*strict=*/false)) continue;
     // Supersumption retrieval: p displaces every stored pattern it
-    // strictly subsumes. With a pool and a big enough index the scan
-    // fans out over contents chunks; the collected set is identical.
+    // strictly subsumes.
     subsumed.clear();
     ++*probes;
-    if (scan_pool != nullptr && scan_pool->num_threads() > 1 &&
-        index->size() >= kParallelScanMinIndexSize) {
-      PCDB_RETURN_NOT_OK(
-          ParallelCollectSubsumed(*index, p, scan_pool, ctx, &subsumed));
-    } else {
-      index->CollectSubsumed(p, /*strict=*/true, &subsumed);
-    }
+    index->CollectSubsumed(p, /*strict=*/true, &subsumed);
     for (const Pattern& q : subsumed) index->Remove(q);
     index->Insert(p);
     TrackPeaks(*index, stats);
@@ -173,6 +130,19 @@ Result<PatternSet> MinimizeSortedIncremental(const PatternSet& input,
   return PatternSet(index->Contents());
 }
 
+/// Static span names keep the tracer allocation-free.
+const char* MinimizeSpanName(MinimizeApproach approach) {
+  switch (approach) {
+    case MinimizeApproach::kAllAtOnce:
+      return kSpanMinimizeAllAtOnce;
+    case MinimizeApproach::kIncremental:
+      return kSpanMinimizeIncremental;
+    case MinimizeApproach::kSortedIncremental:
+      return kSpanMinimizeSortedIncremental;
+  }
+  return kSpanMinimize;
+}
+
 }  // namespace
 
 PatternSet Minimize(const PatternSet& input, MinimizeApproach approach,
@@ -191,36 +161,13 @@ PatternSet Minimize(const PatternSet& input, MinimizeApproach approach,
 Result<PatternSet> Minimize(const PatternSet& input, MinimizeApproach approach,
                             PatternIndexKind kind, const ExecContext& ctx,
                             MinimizeStats* stats) {
-  return Minimize(input, approach, kind, /*scan_pool=*/nullptr, ctx, stats);
-}
-
-namespace {
-
-/// Static span names keep the tracer allocation-free.
-const char* MinimizeSpanName(MinimizeApproach approach) {
-  switch (approach) {
-    case MinimizeApproach::kAllAtOnce:
-      return kSpanMinimizeAllAtOnce;
-    case MinimizeApproach::kIncremental:
-      return kSpanMinimizeIncremental;
-    case MinimizeApproach::kSortedIncremental:
-      return kSpanMinimizeSortedIncremental;
-  }
-  return kSpanMinimize;
-}
-
-}  // namespace
-
-Result<PatternSet> Minimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, ThreadPool* scan_pool,
-                            const ExecContext& ctx, MinimizeStats* stats) {
   WallTimer timer;
   PCDB_TRACE_SPAN(span, MinimizeSpanName(approach));
   Result<PatternSet> out = Status::Internal("unhandled minimize approach");
   // Probes are counted locally so the engine counter and the trace arg
   // see them even when the caller passed no stats. The exception guard
-  // gives serial runs the same kInternal a pool worker's catch produces
-  // for throw-action failpoints; the span closes (RAII) on every path.
+  // turns throw-action failpoints into kInternal; the span closes (RAII)
+  // on every path.
   size_t probes = 0;
   try {
     switch (approach) {
@@ -228,7 +175,7 @@ Result<PatternSet> Minimize(const PatternSet& input, MinimizeApproach approach,
         out = MinimizeAllAtOnce(input, kind, ctx, stats, &probes);
         break;
       case MinimizeApproach::kIncremental:
-        out = MinimizeIncremental(input, kind, ctx, stats, scan_pool, &probes);
+        out = MinimizeIncremental(input, kind, ctx, stats, &probes);
         break;
       case MinimizeApproach::kSortedIncremental:
         out = MinimizeSortedIncremental(input, kind, ctx, stats, &probes);
@@ -254,211 +201,6 @@ Result<PatternSet> Minimize(const PatternSet& input, MinimizeApproach approach,
 PatternSet Minimize(const PatternSet& input) {
   return Minimize(input, MinimizeApproach::kAllAtOnce,
                   PatternIndexKind::kDiscriminationTree);
-}
-
-namespace {
-
-/// Folds per-shard peak counters into one result under a lock. Shards
-/// finish in a nondeterministic order, but max-merging is commutative,
-/// so the folded peaks are deterministic anyway.
-class PeakAccumulator {
- public:
-  void Merge(const MinimizeStats& s) PCDB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    peak_index_size_ = std::max(peak_index_size_, s.peak_index_size);
-    peak_memory_bytes_ = std::max(peak_memory_bytes_, s.peak_memory_bytes);
-    probes_ += s.probes;  // probes sum across shards (peaks max-merge)
-  }
-
-  void FlushInto(MinimizeStats* stats) PCDB_EXCLUDES(mu_) {
-    if (stats == nullptr) return;
-    MutexLock lock(&mu_);
-    stats->peak_index_size =
-        std::max(stats->peak_index_size, peak_index_size_);
-    stats->peak_memory_bytes =
-        std::max(stats->peak_memory_bytes, peak_memory_bytes_);
-    stats->probes += probes_;
-  }
-
- private:
-  Mutex mu_;
-  size_t peak_index_size_ PCDB_GUARDED_BY(mu_) = 0;
-  size_t peak_memory_bytes_ PCDB_GUARDED_BY(mu_) = 0;
-  size_t probes_ PCDB_GUARDED_BY(mu_) = 0;
-};
-
-/// The governed sharded pipeline; ParallelMinimize wraps it with the
-/// exception guard so serial and pooled fault paths report alike.
-Result<PatternSet> ParallelMinimizeGoverned(const PatternSet& input,
-                                            MinimizeApproach approach,
-                                            PatternIndexKind kind,
-                                            ThreadPool* pool,
-                                            const ExecContext& ctx,
-                                            MinimizeStats* stats) {
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  // Oversubscribed sharding: up to 8 shards per worker (capped so every
-  // shard keeps >= 2 patterns) lets the FIFO queue rebalance when the
-  // signature distribution is skewed — one slow shard no longer idles
-  // the other workers. Below 2 patterns per prospective shard the
-  // shard/merge machinery is pure overhead; the serial path is
-  // definitionally equivalent.
-  // The fallback paths run on the caller's thread, so they may hand the
-  // pool down for the incremental approach's inner CollectSubsumed scans
-  // (the shard tasks below must not — they already occupy pool workers).
-  size_t num_shards = ParallelChunkCount(threads, input.size() / 2);
-  if (num_shards <= 1) {
-    return Minimize(input, approach, kind, pool, ctx, stats);
-  }
-  WallTimer timer;
-  PCDB_TRACE_SPAN(span, kSpanMinimizeParallel);
-  span.Arg("kind", static_cast<uint64_t>(kind));
-  span.Arg("input", input.size());
-  PCDB_RETURN_NOT_OK(ctx.Check());
-
-  // Group pattern indices by signature; a whole group always lands in
-  // one shard, so duplicates (and any equal-signature subsumption, which
-  // is exactly equality) resolve locally.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> groups;
-  for (size_t i = 0; i < input.size(); ++i) {
-    groups[PatternConstantSignature(input[i])].push_back(
-        static_cast<uint32_t>(i));
-  }
-  num_shards = std::min(num_shards, groups.size());
-  if (num_shards <= 1) {
-    // Single signature group: sharding cannot split the work, but the
-    // incremental inner scans still can (the ROADMAP case).
-    return Minimize(input, approach, kind, pool, ctx, stats);
-  }
-
-  // Greedy balance: largest group to the least-loaded shard. Sorting by
-  // (size desc, signature asc) keeps the assignment deterministic.
-  std::vector<const std::pair<const uint64_t, std::vector<uint32_t>>*> order;
-  order.reserve(groups.size());
-  for (const auto& g : groups) order.push_back(&g);
-  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    if (a->second.size() != b->second.size()) {
-      return a->second.size() > b->second.size();
-    }
-    return a->first < b->first;
-  });
-  std::vector<PatternSet> shard_in(num_shards);
-  std::vector<size_t> load(num_shards, 0);
-  for (const auto* g : order) {
-    size_t target = 0;
-    for (size_t s = 1; s < num_shards; ++s) {
-      if (load[s] < load[target]) target = s;
-    }
-    for (uint32_t idx : g->second) shard_in[target].Add(input[idx]);
-    load[target] += g->second.size();
-  }
-
-  // Phase 1: minimize every shard concurrently with the requested
-  // method. Each task owns its index and output slot; peak counters are
-  // folded into a shared, mutex-guarded accumulator. The per-shard
-  // Minimize inherits `ctx`, so deadlines and budgets are enforced
-  // inside every shard, and first-error cancel-the-rest skips the
-  // remaining shards once one fails.
-  std::vector<PatternSet> shard_out(num_shards);
-  PeakAccumulator peaks;
-  PCDB_RETURN_NOT_OK(TryParallelFor(pool, num_shards, [&](size_t s) -> Status {
-    PCDB_FAILPOINT("minimize.shard");
-    MinimizeStats local;
-    PCDB_ASSIGN_OR_RETURN(shard_out[s],
-                          Minimize(shard_in[s], approach, kind, ctx,
-                                   stats == nullptr ? nullptr : &local));
-    if (stats != nullptr) peaks.Merge(local);
-    return Status::OK();
-  }));
-
-  // Phase 2 (merge): all-at-once over the union of shard survivors. The
-  // union is duplicate-free (duplicates share a signature and were
-  // collapsed in-shard), so a strict subsumer check is exact. The index
-  // is built once and only read afterwards; probes write disjoint
-  // keep-slots, which makes the output deterministic. The budget check
-  // here is the authoritative one — per-shard indexes each stay under
-  // the budget, but only the merged index sees the union's size.
-  std::vector<Pattern> merged;
-  for (const PatternSet& s : shard_out) {
-    merged.insert(merged.end(), s.begin(), s.end());
-  }
-  PatternSet out;
-  if (!merged.empty()) {
-    auto index = MakePatternIndex(kind, merged[0].arity());
-    size_t iter = 0;
-    for (const Pattern& p : merged) {
-      index->Insert(p);
-      if (!ctx.unbounded()) {
-        PCDB_RETURN_NOT_OK(CheckIndexBudgets(*index, ctx, iter++));
-      }
-    }
-    std::vector<char> keep(merged.size(), 0);
-    PCDB_RETURN_NOT_OK(
-        TryParallelFor(pool, merged.size(), [&](size_t i) -> Status {
-          if (!ctx.unbounded() && i % kPatternsPerContextCheck == 0) {
-            PCDB_RETURN_NOT_OK(ctx.Check());
-          }
-          keep[i] = index->HasSubsumer(merged[i], /*strict=*/true) ? 0 : 1;
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < merged.size(); ++i) {
-      if (keep[i]) out.Add(merged[i]);
-    }
-    // One HasSubsumer probe ran per merged element (counted after the
-    // fan-out: the keep-slot writers must stay free of shared state).
-    EngineMetrics().subsumption_probes->Increment(merged.size());
-    span.Arg("merge_probes", merged.size());
-    if (stats != nullptr) {
-      stats->probes += merged.size();
-      stats->peak_index_size = std::max(stats->peak_index_size, index->size());
-      stats->peak_memory_bytes =
-          std::max(stats->peak_memory_bytes, index->ApproxMemoryBytes());
-    }
-  }
-  peaks.FlushInto(stats);
-  if (stats != nullptr) {
-    stats->output_size = out.size();
-    stats->millis = timer.ElapsedMillis();
-  }
-  return out;
-}
-
-}  // namespace
-
-PatternSet ParallelMinimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, ThreadPool* pool,
-                            MinimizeStats* stats) {
-  Result<PatternSet> out = ParallelMinimize(input, approach, kind, pool,
-                                            ExecContext::Unbounded(), stats);
-  if (out.ok()) return std::move(out).ValueOrDie();
-  // Same identity fallback as the legacy serial Minimize: sound, and
-  // only reachable under fault injection.
-  if (stats != nullptr) stats->output_size = input.size();
-  return input;
-}
-
-Result<PatternSet> ParallelMinimize(const PatternSet& input,
-                                    MinimizeApproach approach,
-                                    PatternIndexKind kind, ThreadPool* pool,
-                                    const ExecContext& ctx,
-                                    MinimizeStats* stats) {
-  try {
-    return ParallelMinimizeGoverned(input, approach, kind, pool, ctx, stats);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("minimization failed: ") + e.what());
-  }
-}
-
-PatternSet ParallelMinimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, size_t num_threads,
-                            MinimizeStats* stats) {
-  if (num_threads <= 1) return Minimize(input, approach, kind, stats);
-  ThreadPool pool(num_threads);
-  return ParallelMinimize(input, approach, kind, &pool, stats);
-}
-
-PatternSet ParallelMinimize(const PatternSet& input, size_t num_threads) {
-  return ParallelMinimize(input, MinimizeApproach::kAllAtOnce,
-                          PatternIndexKind::kDiscriminationTree, num_threads);
 }
 
 bool IsMinimal(const PatternSet& set) {

@@ -5,7 +5,6 @@
 
 #include "common/exec_context.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "pattern/pattern.h"
 #include "pattern/pattern_index.h"
 
@@ -37,9 +36,9 @@ struct MinimizeStats {
   size_t peak_index_size = 0;
   /// Largest ApproxMemoryBytes() of the index at any point.
   size_t peak_memory_bytes = 0;
-  /// Index probe operations (HasSubsumer / CollectSubsumed calls) this
-  /// run issued. Accumulates across shard merges; also mirrored into
-  /// the engine_subsumption_probes global counter.
+  /// Index probe operations (HasSubsumer / CollectSubsumed calls),
+  /// summed over the runs that share this stats object; also mirrored
+  /// into the engine_subsumption_probes global counter.
   size_t probes = 0;
   /// Wall-clock time.
   double millis = 0;
@@ -63,76 +62,15 @@ PatternSet Minimize(const PatternSet& input, MinimizeApproach approach,
 /// so under a budget smaller than the input it always trips — governed
 /// callers that want to finish within a budget use kSortedIncremental,
 /// whose index only ever holds the running maximal set.
-[[nodiscard]] Result<PatternSet> Minimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, const ExecContext& ctx,
-                            MinimizeStats* stats = nullptr);
-
-/// Governed minimization with an optional worker pool for the *inner*
-/// scans. Today only the kIncremental approach uses it: its
-/// supersumption retrieval (CollectSubsumed — which stored patterns does
-/// the incoming one displace?) runs as a chunked parallel scan over a
-/// snapshot of the index contents once the index is large enough. This
-/// is the intra-shard complement of ParallelMinimize's inter-shard
-/// fan-out, and the only parallelism available when every pattern shares
-/// one constant signature (a single shard). The result is SetEquals-
-/// identical to the serial run; a null pool (or <= 1 worker) is exactly
-/// the serial path. Must not be called from inside a task already
-/// running on `scan_pool` (ThreadPool::Wait would deadlock) — the
-/// sharded ParallelMinimize therefore passes the pool only on its
-/// not-actually-sharded fallback paths, never into shard tasks.
-[[nodiscard]] Result<PatternSet> Minimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, ThreadPool* scan_pool,
-                            const ExecContext& ctx,
-                            MinimizeStats* stats = nullptr);
+[[nodiscard]] Result<PatternSet> Minimize(const PatternSet& input,
+                                          MinimizeApproach approach,
+                                          PatternIndexKind kind,
+                                          const ExecContext& ctx,
+                                          MinimizeStats* stats = nullptr);
 
 /// Minimizes with the best-performing method from the paper's
 /// experiments (all-at-once over a discrimination tree, D1).
 PatternSet Minimize(const PatternSet& input);
-
-/// \brief Sharded, multi-threaded minimization. Produces a result that
-/// is SetEquals-identical to `Minimize(input, approach, kind)`.
-///
-/// Patterns are grouped by their *constant-position signature* (the bit
-/// mask of non-wildcard positions) and signature groups are packed into
-/// one shard per thread. Subsumption q ≻ p forces sig(q) ⊆ sig(p), so
-/// patterns whose signatures are incomparable can never subsume one
-/// another — in particular, duplicates and equal-signature subsumptions
-/// always resolve inside one shard. Shards are minimized concurrently
-/// with the selected §4.4 method; a cross-shard merge pass (an
-/// all-at-once sweep over the union of shard survivors, probed in
-/// parallel against a shared read-only index) removes the remaining
-/// subsumptions between comparable signatures. See docs/ALGEBRA.md,
-/// "Parallel minimization" for the full correctness argument.
-///
-/// `num_threads <= 1` (or a trivially small input) falls back to the
-/// serial Minimize path. `stats`, if given, receives the output size,
-/// total wall time and the worst per-shard/merge index peaks.
-PatternSet ParallelMinimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, size_t num_threads,
-                            MinimizeStats* stats = nullptr);
-
-/// As above, but runs on a caller-owned pool (the annotated evaluator
-/// reuses one pool across all per-operator minimizations). A null pool
-/// means serial.
-PatternSet ParallelMinimize(const PatternSet& input, MinimizeApproach approach,
-                            PatternIndexKind kind, ThreadPool* pool,
-                            MinimizeStats* stats = nullptr);
-
-/// Governed sharded minimization: shard tasks run under
-/// first-error-cancel-the-rest semantics (common/thread_pool.h), `ctx`
-/// is polled inside every shard and during the merge pass, and the
-/// "minimize.shard" failpoint fires once per shard task. The serial
-/// fallback and the sharded path return identical error codes for the
-/// same fault, and a pattern-budget trip anywhere surfaces as
-/// kResourceExhausted so callers can degrade to a summary.
-[[nodiscard]] Result<PatternSet> ParallelMinimize(const PatternSet& input,
-                                    MinimizeApproach approach,
-                                    PatternIndexKind kind, ThreadPool* pool,
-                                    const ExecContext& ctx,
-                                    MinimizeStats* stats = nullptr);
-
-/// ParallelMinimize with the paper's best method (D1).
-PatternSet ParallelMinimize(const PatternSet& input, size_t num_threads);
 
 /// True if no element of `set` is strictly subsumed by another and there
 /// are no duplicate patterns.

@@ -25,13 +25,12 @@ namespace pcdb {
 ///
 /// Concurrency contract: implementations are thread-compatible, not
 /// thread-safe — concurrent const queries on a quiescent index are
-/// fine, but Insert/Remove require external exclusion. The parallel
-/// layers honour this by construction instead of locking: each
-/// ParallelMinimize shard builds and mutates a private index (one task
-/// per shard, merged after ThreadPool::Wait), so no index is ever shared
-/// across threads. tools/pcdb_lint.py keeps raw std::mutex out of these
-/// classes; any future internal locking must go through the annotated
-/// pcdb::Mutex so Clang Thread Safety Analysis can see it.
+/// fine, but Insert/Remove require external exclusion. Minimization
+/// builds a private index per call, so no index is ever shared across
+/// threads. pcdb-analyze's `naked-mutex` checker keeps raw std::mutex
+/// out of these classes; any future internal locking must go through
+/// the annotated pcdb::Mutex so Clang Thread Safety Analysis can see
+/// it.
 class PatternIndex {
  public:
   virtual ~PatternIndex() = default;

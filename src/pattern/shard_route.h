@@ -21,9 +21,11 @@
 ///    independent, so a coordinator and a shard built on different
 ///    machines still agree);
 ///  - completeness statements of a hash-partitioned table are placed by
-///    their *constant-position signature* (pattern/signature.h) — the
-///    same key ParallelMinimize shards on, so a shard's statement
-///    partition is exactly a union of signature groups.
+///    their *constant-position signature* (pattern/signature.h), so a
+///    shard's statement partition is exactly a union of signature
+///    groups, and a pattern can only be subsumed by patterns whose
+///    signature is a subset of its own (docs/ALGEBRA.md, "Signatures
+///    and subsumption").
 ///
 /// Both live below the server layer on purpose: the server may not
 /// include src/dist/ (the dist-layering rule), yet shard-mode write

@@ -8,10 +8,13 @@
 
 /// \file
 /// The *constant-position signature* of a pattern: the bit mask of its
-/// non-wildcard positions, capped at 64 bits. Two subsystems share it:
+/// non-wildcard positions, capped at 64 bits. Patterns with incomparable
+/// signatures can never subsume one another (docs/ALGEBRA.md, "Signatures
+/// and subsumption"). Two subsystems rely on that:
 ///
-///  - `ParallelMinimize` shards its input by signature, because patterns
-///    with incomparable signatures can never subsume one another;
+///  - distributed mode places a hash-partitioned table's completeness
+///    statements by signature (pattern/shard_route.h), and the
+///    coordinator's merge-minimize relies on the lemma for soundness;
 ///  - the server's answer cache keys pattern-mutation epochs by
 ///    signature, so a punctuation touching one signature invalidates
 ///    only the cached answers whose query overlaps it (docs/SERVER.md).

@@ -6,7 +6,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/names.h"
 #include "obs/trace.h"
 
@@ -19,7 +18,7 @@ constexpr size_t kRowsPerContextCheck = 1024;
 
 Result<Table> EvalScan(const Expr& expr, const Database& db) {
   PCDB_ASSIGN_OR_RETURN(const Table* table, db.GetTable(expr.table_name()));
-  PCDB_ASSIGN_OR_RETURN(Schema schema, expr.OutputSchema(db));
+  PCDB_ASSIGN_OR_RETURN(Schema schema, expr.RootOutputSchema(db, {}, {}));
   Table out(std::move(schema));
   out.Reserve(table->num_rows());
   for (const Tuple& t : table->rows()) out.AppendUnchecked(t);
@@ -42,6 +41,10 @@ Result<Table> EvalSelectConst(const Expr& expr, Table in) {
 Result<Table> EvalSelectAttrEq(const Expr& expr, Table in) {
   PCDB_ASSIGN_OR_RETURN(size_t a, in.schema().Resolve(expr.attr()));
   PCDB_ASSIGN_OR_RETURN(size_t b, in.schema().Resolve(expr.attr2()));
+  if (in.schema().column(a).type != in.schema().column(b).type) {
+    return Status::TypeError("attribute equality type mismatch between '" +
+                             expr.attr() + "' and '" + expr.attr2() + "'");
+  }
   Table out(in.schema());
   for (const Tuple& t : in.rows()) {
     if (t[a] == t[b]) out.AppendUnchecked(t);
@@ -83,7 +86,7 @@ Result<Table> EvalRearrange(const Expr& expr, Table in) {
 }
 
 Result<Table> EvalJoin(const Expr& expr, Table lhs, Table rhs,
-                       ThreadPool* pool, const ExecContext& ctx) {
+                       const ExecContext& ctx) {
   Schema out_schema = lhs.schema().Concat(rhs.schema());
   Table out(std::move(out_schema));
   if (expr.attr().empty()) {
@@ -121,48 +124,23 @@ Result<Table> EvalJoin(const Expr& expr, Table lhs, Table rhs,
   index.reserve(build.num_rows());
   for (const Tuple& t : build.rows()) index.emplace(t[build_key], &t);
 
-  auto probe_range = [&](size_t begin, size_t end,
-                         std::vector<Tuple>* sink) -> Status {
-    for (size_t row = begin; row < end; ++row) {
-      if (!ctx.unbounded() && (row - begin) % kRowsPerContextCheck == 0) {
-        // Per-chunk sink size approximates this chunk's share of the
-        // budget; the post-operator CheckRows catches the exact total.
-        PCDB_RETURN_NOT_OK(ctx.CheckRows(sink->size()));
-      }
-      const Tuple& t = probe.row(row);
-      auto [first, last] = index.equal_range(t[probe_key]);
-      for (auto it = first; it != last; ++it) {
-        const Tuple& l = build_left ? *it->second : t;
-        const Tuple& r = build_left ? t : *it->second;
-        Tuple joined = l;
-        joined.insert(joined.end(), r.begin(), r.end());
-        sink->push_back(std::move(joined));
-      }
+  // Probe in row order, appending straight to the output; equal_range
+  // iteration order on a const multimap is fixed, so the row order is
+  // deterministic.
+  PCDB_FAILPOINT("eval.join.probe");
+  for (size_t row = 0; row < probe.num_rows(); ++row) {
+    if (!ctx.unbounded() && row % kRowsPerContextCheck == 0) {
+      PCDB_RETURN_NOT_OK(ctx.CheckRows(out.num_rows()));
     }
-    return Status::OK();
-  };
-
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const std::vector<IndexRange> ranges = ChunkRanges(
-      probe.num_rows(), ParallelChunkCount(threads, probe.num_rows()));
-  // Probe chunks: contiguous probe-row ranges over the shared read-only
-  // build index, one output buffer per chunk. Concatenating the buffers
-  // in chunk order reproduces the serial row order exactly (equal_range
-  // iteration order on a const multimap is fixed), for any chunk count —
-  // ranges ascend and partition the probe rows. TryParallelForRanges
-  // degenerates to an in-order serial loop without a pool, so serial and
-  // parallel runs fail with identical codes under injected faults.
-  std::vector<std::vector<Tuple>> chunk_rows(ranges.size());
-  PCDB_RETURN_NOT_OK(TryParallelForRanges(
-      pool, ranges, [&](size_t c, IndexRange r) -> Status {
-        PCDB_FAILPOINT("eval.join.probe");
-        return probe_range(r.begin, r.end, &chunk_rows[c]);
-      }));
-  size_t total = 0;
-  for (const auto& rows : chunk_rows) total += rows.size();
-  out.Reserve(total);
-  for (auto& rows : chunk_rows) {
-    for (Tuple& t : rows) out.AppendUnchecked(std::move(t));
+    const Tuple& t = probe.row(row);
+    auto [first, last] = index.equal_range(t[probe_key]);
+    for (auto it = first; it != last; ++it) {
+      const Tuple& l = build_left ? *it->second : t;
+      const Tuple& r = build_left ? t : *it->second;
+      Tuple joined = l;
+      joined.insert(joined.end(), r.begin(), r.end());
+      out.AppendUnchecked(std::move(joined));
+    }
   }
   return out;
 }
@@ -280,7 +258,8 @@ Result<Table> EvalAggregate(const Expr& expr, Table in, const Database& db,
     }
   }
 
-  PCDB_ASSIGN_OR_RETURN(Schema out_schema, expr.OutputSchema(db));
+  PCDB_ASSIGN_OR_RETURN(Schema out_schema,
+                        expr.RootOutputSchema(db, in.schema(), {}));
   Table out(std::move(out_schema));
   out.Reserve(groups.size());
   for (const Group& g : groups) {
@@ -320,7 +299,7 @@ Result<Table> EvalAggregate(const Expr& expr, Table in, const Database& db,
 /// The undecorated operator dispatch; the governed ApplyRootOperator
 /// wraps it with the failpoint and the context checks.
 Result<Table> ApplyRootOperatorImpl(const Expr& expr, const Database& db,
-                                    Table left, Table right, ThreadPool* pool,
+                                    Table left, Table right,
                                     const ExecContext& ctx) {
   switch (expr.kind()) {
     case ExprKind::kScan:
@@ -334,7 +313,7 @@ Result<Table> ApplyRootOperatorImpl(const Expr& expr, const Database& db,
     case ExprKind::kRearrange:
       return EvalRearrange(expr, std::move(left));
     case ExprKind::kJoin:
-      return EvalJoin(expr, std::move(left), std::move(right), pool, ctx);
+      return EvalJoin(expr, std::move(left), std::move(right), ctx);
     case ExprKind::kAggregate:
       return EvalAggregate(expr, std::move(left), db, ctx);
     case ExprKind::kSort:
@@ -342,7 +321,9 @@ Result<Table> ApplyRootOperatorImpl(const Expr& expr, const Database& db,
     case ExprKind::kLimit:
       return EvalLimit(expr, std::move(left));
     case ExprKind::kUnion: {
-      PCDB_ASSIGN_OR_RETURN(Schema schema, expr.OutputSchema(db));
+      PCDB_ASSIGN_OR_RETURN(
+          Schema schema,
+          expr.RootOutputSchema(db, left.schema(), right.schema()));
       Table out(std::move(schema));
       out.Reserve(left.num_rows() + right.num_rows());
       for (const Tuple& t : left.rows()) out.AppendUnchecked(t);
@@ -369,12 +350,6 @@ size_t CartesianReserve(size_t lhs_rows, size_t rhs_rows) {
 }
 
 }  // namespace internal
-
-Result<Table> ApplyRootOperator(const Expr& expr, const Database& db,
-                                Table left, Table right, ThreadPool* pool) {
-  return ApplyRootOperator(expr, db, std::move(left), std::move(right), pool,
-                           ExecContext::Unbounded());
-}
 
 namespace {
 
@@ -408,15 +383,15 @@ const char* EvalSpanName(ExprKind kind) {
 }  // namespace
 
 Result<Table> ApplyRootOperator(const Expr& expr, const Database& db,
-                                Table left, Table right, ThreadPool* pool,
+                                Table left, Table right,
                                 const ExecContext& ctx) {
   PCDB_TRACE_SPAN(span, EvalSpanName(expr.kind()));
   PCDB_FAILPOINT("eval.operator");
   PCDB_RETURN_NOT_OK(ctx.Check());
   span.Arg("input_rows", left.num_rows() + right.num_rows());
   PCDB_ASSIGN_OR_RETURN(
-      Table out, ApplyRootOperatorImpl(expr, db, std::move(left),
-                                       std::move(right), pool, ctx));
+      Table out,
+      ApplyRootOperatorImpl(expr, db, std::move(left), std::move(right), ctx));
   PCDB_RETURN_NOT_OK(ctx.CheckRows(out.num_rows()));
   span.Arg("rows", out.num_rows());
   return out;
@@ -424,44 +399,31 @@ Result<Table> ApplyRootOperator(const Expr& expr, const Database& db,
 
 namespace {
 
-Result<Table> EvaluateWithPool(const Expr& expr, const Database& db,
-                               ThreadPool* pool, const ExecContext& ctx) {
+Result<Table> EvaluateTree(const Expr& expr, const Database& db,
+                           const ExecContext& ctx) {
   Table left;
   Table right;
   if (expr.left() != nullptr) {
-    PCDB_ASSIGN_OR_RETURN(left,
-                          EvaluateWithPool(*expr.left(), db, pool, ctx));
+    PCDB_ASSIGN_OR_RETURN(left, EvaluateTree(*expr.left(), db, ctx));
   }
   if (expr.right() != nullptr) {
-    PCDB_ASSIGN_OR_RETURN(right,
-                          EvaluateWithPool(*expr.right(), db, pool, ctx));
+    PCDB_ASSIGN_OR_RETURN(right, EvaluateTree(*expr.right(), db, ctx));
   }
-  return ApplyRootOperator(expr, db, std::move(left), std::move(right), pool,
-                           ctx);
+  return ApplyRootOperator(expr, db, std::move(left), std::move(right), ctx);
 }
 
 }  // namespace
 
 Result<Table> Evaluate(const Expr& expr, const Database& db) {
-  return Evaluate(expr, db, EvalOptions{}, ExecContext::Unbounded());
+  return Evaluate(expr, db, ExecContext::Unbounded());
 }
 
 Result<Table> Evaluate(const Expr& expr, const Database& db,
-                       const EvalOptions& options) {
-  return Evaluate(expr, db, options, ExecContext::Unbounded());
-}
-
-Result<Table> Evaluate(const Expr& expr, const Database& db,
-                       const EvalOptions& options, const ExecContext& ctx) {
-  // The exception guard makes serial and parallel fault behaviour match:
-  // a throw-action failpoint on the serial path becomes the same
-  // Status::Internal the worker-side catch produces on the pool path.
+                       const ExecContext& ctx) {
+  // The exception guard turns a throw-action failpoint into
+  // Status::Internal instead of terminating the process.
   try {
-    if (options.num_threads <= 1) {
-      return EvaluateWithPool(expr, db, nullptr, ctx);
-    }
-    ThreadPool pool(options.num_threads);
-    return EvaluateWithPool(expr, db, &pool, ctx);
+    return EvaluateTree(expr, db, ctx);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("evaluation failed: ") + e.what());
   }

@@ -11,17 +11,6 @@
 
 namespace pcdb {
 
-class ThreadPool;
-
-/// \brief Knobs for relational evaluation.
-struct EvalOptions {
-  /// Worker threads for the hash-join probe phase. 1 = serial. The
-  /// parallel probe chunks the probe side over a shared read-only build
-  /// index and concatenates per-chunk outputs in chunk order, so the
-  /// result rows are bit-identical to the serial evaluation.
-  size_t num_threads = 1;
-};
-
 /// \brief Evaluates a relational algebra expression over a database
 /// instance (Q(D) in §3.1), under bag semantics.
 ///
@@ -30,49 +19,36 @@ struct EvalOptions {
 /// ambiguous attributes, and type mismatches.
 [[nodiscard]] Result<Table> Evaluate(const Expr& expr, const Database& db);
 
-[[nodiscard]] Result<Table> Evaluate(const Expr& expr, const Database& db,
-                       const EvalOptions& options);
-
 /// Governed evaluation: `ctx` is polled at every operator boundary and
 /// inside join probe loops, so a cancelled token, an expired deadline,
 /// or a tripped row budget stops the plan cooperatively (kCancelled /
 /// kTimeout / kResourceExhausted) instead of running to completion.
-/// Injected faults (common/failpoint.h) and task exceptions surface as
-/// error Statuses — this entry point never terminates the process.
+/// Injected faults (common/failpoint.h) surface as error Statuses —
+/// this entry point never terminates the process.
 [[nodiscard]] Result<Table> Evaluate(const Expr& expr, const Database& db,
-                       const EvalOptions& options, const ExecContext& ctx);
+                                     const ExecContext& ctx);
 
 [[nodiscard]] inline Result<Table> Evaluate(const ExprPtr& expr, const Database& db) {
   return Evaluate(*expr, db);
 }
 
-[[nodiscard]] inline Result<Table> Evaluate(const ExprPtr& expr, const Database& db,
-                              const EvalOptions& options) {
-  return Evaluate(*expr, db, options);
-}
-
-[[nodiscard]] inline Result<Table> Evaluate(const ExprPtr& expr, const Database& db,
-                              const EvalOptions& options,
-                              const ExecContext& ctx) {
-  return Evaluate(*expr, db, options, ctx);
+[[nodiscard]] inline Result<Table> Evaluate(const ExprPtr& expr,
+                                            const Database& db,
+                                            const ExecContext& ctx) {
+  return Evaluate(*expr, db, ctx);
 }
 
 /// Applies only the root operator of `expr` to already-evaluated child
 /// results (`left`/`right` are ignored where the operator takes fewer
 /// inputs; kScan takes none). Used by the annotated evaluator
 /// (pattern/annotated_eval.h) to run the data plan and the metadata plan
-/// in lockstep over shared intermediates. A non-null `pool` parallelizes
-/// the hash-join probe phase.
-[[nodiscard]] Result<Table> ApplyRootOperator(const Expr& expr, const Database& db,
-                                Table left, Table right,
-                                ThreadPool* pool = nullptr);
-
-/// Governed single-operator application: fires the "eval.operator"
+/// in lockstep over shared intermediates. Fires the "eval.operator"
 /// failpoint, polls `ctx` on entry, and checks the operator's output
 /// row count against the row budget.
-[[nodiscard]] Result<Table> ApplyRootOperator(const Expr& expr, const Database& db,
-                                Table left, Table right, ThreadPool* pool,
-                                const ExecContext& ctx);
+[[nodiscard]] Result<Table> ApplyRootOperator(const Expr& expr,
+                                              const Database& db, Table left,
+                                              Table right,
+                                              const ExecContext& ctx);
 
 namespace internal {
 

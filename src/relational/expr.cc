@@ -41,6 +41,19 @@ ValueType AggOutputType(AggFunc func, ValueType input) {
 }  // namespace
 
 Result<Schema> Expr::OutputSchema(const Database& db) const {
+  Schema left;
+  Schema right;
+  if (left_ != nullptr) {
+    PCDB_ASSIGN_OR_RETURN(left, left_->OutputSchema(db));
+  }
+  if (right_ != nullptr) {
+    PCDB_ASSIGN_OR_RETURN(right, right_->OutputSchema(db));
+  }
+  return RootOutputSchema(db, left, right);
+}
+
+Result<Schema> Expr::RootOutputSchema(const Database& db, const Schema& left,
+                                      const Schema& right) const {
   switch (kind_) {
     case ExprKind::kScan: {
       PCDB_ASSIGN_OR_RETURN(const Table* table, db.GetTable(table_name_));
@@ -48,90 +61,80 @@ Result<Schema> Expr::OutputSchema(const Database& db) const {
       return table->schema().Qualify(alias_);
     }
     case ExprKind::kSelectConst: {
-      PCDB_ASSIGN_OR_RETURN(Schema in, left_->OutputSchema(db));
-      PCDB_ASSIGN_OR_RETURN(size_t idx, in.Resolve(attr_));
-      if (in.column(idx).type != constant_.type()) {
+      PCDB_ASSIGN_OR_RETURN(size_t idx, left.Resolve(attr_));
+      if (left.column(idx).type != constant_.type()) {
         return Status::TypeError("selection constant '" +
                                  constant_.ToString() + "' does not match " +
                                  "type of attribute '" + attr_ + "'");
       }
-      return in;
+      return left;
     }
     case ExprKind::kSelectAttrEq: {
-      PCDB_ASSIGN_OR_RETURN(Schema in, left_->OutputSchema(db));
-      PCDB_ASSIGN_OR_RETURN(size_t a, in.Resolve(attr_));
-      PCDB_ASSIGN_OR_RETURN(size_t b, in.Resolve(attr2_));
-      if (in.column(a).type != in.column(b).type) {
+      PCDB_ASSIGN_OR_RETURN(size_t a, left.Resolve(attr_));
+      PCDB_ASSIGN_OR_RETURN(size_t b, left.Resolve(attr2_));
+      if (left.column(a).type != left.column(b).type) {
         return Status::TypeError("attribute equality between '" + attr_ +
                                  "' and '" + attr2_ +
                                  "' compares different types");
       }
-      return in;
+      return left;
     }
     case ExprKind::kProjectOut: {
-      PCDB_ASSIGN_OR_RETURN(Schema in, left_->OutputSchema(db));
-      PCDB_ASSIGN_OR_RETURN(size_t idx, in.Resolve(attr_));
-      return in.WithoutColumn(idx);
+      PCDB_ASSIGN_OR_RETURN(size_t idx, left.Resolve(attr_));
+      return left.WithoutColumn(idx);
     }
     case ExprKind::kRearrange: {
-      PCDB_ASSIGN_OR_RETURN(Schema in, left_->OutputSchema(db));
       std::vector<size_t> indices;
       indices.reserve(attrs_.size());
       for (const std::string& a : attrs_) {
-        PCDB_ASSIGN_OR_RETURN(size_t idx, in.Resolve(a));
+        PCDB_ASSIGN_OR_RETURN(size_t idx, left.Resolve(a));
         indices.push_back(idx);
       }
-      return in.Select(indices);
+      return left.Select(indices);
     }
     case ExprKind::kJoin: {
-      PCDB_ASSIGN_OR_RETURN(Schema lhs, left_->OutputSchema(db));
-      PCDB_ASSIGN_OR_RETURN(Schema rhs, right_->OutputSchema(db));
       if (!attr_.empty()) {
-        PCDB_ASSIGN_OR_RETURN(size_t a, lhs.Resolve(attr_));
-        PCDB_ASSIGN_OR_RETURN(size_t b, rhs.Resolve(attr2_));
-        if (lhs.column(a).type != rhs.column(b).type) {
+        PCDB_ASSIGN_OR_RETURN(size_t a, left.Resolve(attr_));
+        PCDB_ASSIGN_OR_RETURN(size_t b, right.Resolve(attr2_));
+        if (left.column(a).type != right.column(b).type) {
           return Status::TypeError("join between '" + attr_ + "' and '" +
                                    attr2_ + "' compares different types");
         }
       }
-      return lhs.Concat(rhs);
+      return left.Concat(right);
     }
     case ExprKind::kSort: {
-      PCDB_ASSIGN_OR_RETURN(Schema in, left_->OutputSchema(db));
       for (const std::string& a : attrs_) {
-        PCDB_RETURN_NOT_OK(in.Resolve(a).status());
+        PCDB_RETURN_NOT_OK(left.Resolve(a).status());
       }
-      return in;
+      return left;
     }
     case ExprKind::kLimit:
-      return left_->OutputSchema(db);
+      return left;
     case ExprKind::kUnion: {
-      PCDB_ASSIGN_OR_RETURN(Schema lhs, left_->OutputSchema(db));
-      PCDB_ASSIGN_OR_RETURN(Schema rhs, right_->OutputSchema(db));
-      if (lhs.arity() != rhs.arity()) {
+      if (left.arity() != right.arity()) {
         return Status::TypeError("UNION ALL inputs have different arities");
       }
-      for (size_t i = 0; i < lhs.arity(); ++i) {
-        if (lhs.column(i).type != rhs.column(i).type) {
+      for (size_t i = 0; i < left.arity(); ++i) {
+        if (left.column(i).type != right.column(i).type) {
           return Status::TypeError(
               "UNION ALL inputs disagree on the type of column " +
               std::to_string(i));
         }
       }
-      return lhs;
+      return left;
     }
     case ExprKind::kAggregate: {
-      PCDB_ASSIGN_OR_RETURN(Schema in, left_->OutputSchema(db));
       std::vector<Column> cols;
       for (const std::string& g : attrs_) {
-        PCDB_ASSIGN_OR_RETURN(size_t idx, in.Resolve(g));
-        cols.push_back(in.column(idx));
+        PCDB_ASSIGN_OR_RETURN(size_t idx, left.Resolve(g));
+        cols.push_back(left.column(idx));
       }
       for (const AggSpec& agg : aggs_) {
         ValueType input_type = ValueType::kInt64;
         if (!agg.attr.empty()) {
-          PCDB_ASSIGN_OR_RETURN(size_t idx, in.Resolve(agg.attr));
-          input_type = in.column(idx).type;
+          PCDB_ASSIGN_OR_RETURN(size_t idx, left.Resolve(agg.attr));
+          input_type = left.column(idx).type;
           if (agg.func != AggFunc::kMin && agg.func != AggFunc::kMax &&
               agg.func != AggFunc::kCount &&
               input_type == ValueType::kString) {

@@ -93,6 +93,14 @@ class Expr {
   /// unresolvable/ambiguous attributes.
   [[nodiscard]] Result<Schema> OutputSchema(const Database& db) const;
 
+  /// The output schema of this node alone, given its children's output
+  /// schemas (`left`/`right` are ignored where the operator takes fewer
+  /// inputs; kScan reads the table's schema from `db`). OutputSchema is
+  /// this step applied bottom-up.
+  [[nodiscard]] Result<Schema> RootOutputSchema(const Database& db,
+                                                const Schema& left,
+                                                const Schema& right) const;
+
   /// Algebra notation, e.g. "σ[week=2](Scan(Warnings))".
   std::string ToString() const;
 

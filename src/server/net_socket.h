@@ -12,7 +12,7 @@
 /// RAII wrappers over POSIX TCP sockets and poll(2).
 ///
 /// Every raw socket syscall in the project lives in net_socket.{h,cc}
-/// (enforced by the `raw-socket` rule of tools/pcdb_lint.py): the rest
+/// (enforced by pcdb-analyze's `raw-socket` checker): the rest
 /// of the server subsystem speaks Socket/Listener/Poll and gets
 /// consistent Status error mapping, EINTR retries, and fault-injection
 /// sites for free.

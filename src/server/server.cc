@@ -1351,7 +1351,6 @@ void Server::RunQueryJob(uint64_t conn_id, uint64_t request_id,
             (request.flags & QueryRequest::kFlagInstanceAware) != 0;
         eval_options.zombies =
             (request.flags & QueryRequest::kFlagZombies) != 0;
-        eval_options.num_threads = options_.eval_threads_per_query;
         eval_options.collect_profile = want_profile;
         AnnotatedEvalInfo info;
         WallTimer eval_timer;

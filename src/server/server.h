@@ -70,9 +70,6 @@ struct ServerOptions {
   /// the event loop — queries would block frame processing and CANCEL
   /// could never overtake the query it targets.
   size_t eval_threads = 4;
-  /// AnnotatedEvalOptions.num_threads for each query (intra-query
-  /// parallelism); 1 = serial, deterministic answer bytes.
-  size_t eval_threads_per_query = 1;
   /// Admission: queries evaluating concurrently before queueing starts.
   size_t max_inflight = 4;
   /// Admission: queries waiting per connection before shedding starts.

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/exec_context.h"
-#include "common/thread_pool.h"
 #include "pattern/annotated_eval.h"
 #include "pattern/entailment.h"
 #include "pattern/minimize.h"
@@ -113,29 +112,18 @@ TEST(DeadlineTest, EvaluateTimesOut) {
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
   ExprPtr plan = Expr::Join(Expr::Scan("Warnings"),
                             Expr::Scan("Maintenance"), "ID", "ID");
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ExecContext ctx;
-    ctx.WithDeadlineAfterMillis(0);
-    EvalOptions options;
-    options.num_threads = threads;
-    auto result = Evaluate(*plan, adb.database(), options, ctx);
-    EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
-        << threads << " threads";
-  }
+  ExecContext ctx;
+  ctx.WithDeadlineAfterMillis(0);
+  auto result = Evaluate(*plan, adb.database(), ctx);
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
 }
 
 TEST(DeadlineTest, AnnotatedEvaluationTimesOut) {
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ExecContext ctx;
-    ctx.WithDeadlineAfterMillis(0);
-    AnnotatedEvalOptions options;
-    options.num_threads = threads;
-    auto result =
-        EvaluateAnnotated(*MakeHardwareWarningsQuery(), adb, options, ctx);
-    EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
-        << threads << " threads";
-  }
+  ExecContext ctx;
+  ctx.WithDeadlineAfterMillis(0);
+  auto result = EvaluateAnnotated(*MakeHardwareWarningsQuery(), adb, {}, ctx);
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
 }
 
 TEST(DeadlineTest, ComputeQueryPatternsTimesOut) {
@@ -160,15 +148,6 @@ TEST(DeadlineTest, MinimizeTimesOut) {
                            PatternIndexKind::kDiscriminationTree, ctx);
     EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
   }
-  ThreadPool pool(4);
-  auto parallel =
-      Minimize(input, MinimizeApproach::kAllAtOnce,
-               PatternIndexKind::kDiscriminationTree, ctx);
-  EXPECT_EQ(parallel.status().code(), StatusCode::kTimeout);
-  auto sharded = ParallelMinimize(input, MinimizeApproach::kAllAtOnce,
-                                  PatternIndexKind::kDiscriminationTree,
-                                  &pool, ctx);
-  EXPECT_EQ(sharded.status().code(), StatusCode::kTimeout);
 }
 
 TEST(CancellationTest, PreCancelledTokenCancelsEveryEntryPoint) {
@@ -182,7 +161,7 @@ TEST(CancellationTest, PreCancelledTokenCancelsEveryEntryPoint) {
             StatusCode::kCancelled);
 
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
-  EXPECT_EQ(Evaluate(*Expr::Scan("Warnings"), adb.database(), {}, ctx)
+  EXPECT_EQ(Evaluate(*Expr::Scan("Warnings"), adb.database(), ctx)
                 .status()
                 .code(),
             StatusCode::kCancelled);
@@ -223,11 +202,11 @@ TEST(BudgetTest, EvaluateRowBudget) {
   ExprPtr plan = Expr::Scan("Warnings");  // 7 rows
   ExecContext tight;
   tight.WithRowBudget(2);
-  EXPECT_EQ(Evaluate(*plan, adb.database(), {}, tight).status().code(),
+  EXPECT_EQ(Evaluate(*plan, adb.database(), tight).status().code(),
             StatusCode::kResourceExhausted);
   ExecContext roomy;
   roomy.WithRowBudget(1000);
-  EXPECT_TRUE(Evaluate(*plan, adb.database(), {}, roomy).ok());
+  EXPECT_TRUE(Evaluate(*plan, adb.database(), roomy).ok());
 }
 
 TEST(BudgetTest, MinimizeMemoryBudget) {

@@ -40,8 +40,8 @@ class FaultInjectionTest : public ::testing::Test {
 
 // ---------------------------------------------------------------------------
 // Covering workloads: one governed entry point per group of sites. Each
-// returns the final Status so the matrix below can compare serial and
-// parallel runs of the same work.
+// returns the final Status so the matrix below can check the code an
+// injected fault surfaces with.
 
 Status RunCsvLoad() {
   Schema schema(
@@ -52,26 +52,20 @@ Status RunCsvLoad() {
       .status();
 }
 
-Status RunEvaluate(size_t threads) {
+Status RunEvaluate() {
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
   ExprPtr plan = Expr::Join(Expr::Scan("Warnings"),
                             Expr::Scan("Maintenance"), "ID", "ID");
-  EvalOptions options;
-  options.num_threads = threads;
-  return Evaluate(*plan, adb.database(), options, ExecContext()).status();
+  return Evaluate(*plan, adb.database(), ExecContext()).status();
 }
 
-Status RunAnnotated(size_t threads) {
+Status RunAnnotated() {
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
-  AnnotatedEvalOptions options;
-  options.num_threads = threads;
-  return EvaluateAnnotated(*MakeHardwareWarningsQuery(), adb, options,
+  return EvaluateAnnotated(*MakeHardwareWarningsQuery(), adb, {},
                            ExecContext())
       .status();
 }
 
-/// A random set large enough that the sharded path actually shards
-/// (small inputs fall back to the serial minimizer).
 PatternSet BigRandomSet(uint64_t seed) {
   Rng rng(seed);
   PatternSet out;
@@ -89,18 +83,19 @@ PatternSet BigRandomSet(uint64_t seed) {
   return out;
 }
 
-Status RunMinimize(size_t threads) {
-  PatternSet input = BigRandomSet(11);
-  if (threads <= 1) {
-    return Minimize(input, MinimizeApproach::kAllAtOnce,
-                    PatternIndexKind::kDiscriminationTree, ExecContext())
-        .status();
-  }
-  ThreadPool pool(threads);
-  return ParallelMinimize(input, MinimizeApproach::kAllAtOnce,
-                          PatternIndexKind::kDiscriminationTree, &pool,
-                          ExecContext())
+Status RunMinimize() {
+  return Minimize(BigRandomSet(11), MinimizeApproach::kAllAtOnce,
+                  PatternIndexKind::kDiscriminationTree, ExecContext())
       .status();
+}
+
+/// Covering workload for pool.dispatch: one round of tasks on a
+/// 2-worker pool, whose captured failure is the round's Status.
+Status RunPoolRound() {
+  ThreadPool pool(2);
+  for (int i = 0; i < 4; ++i) pool.Submit([] {});
+  pool.Wait();
+  return pool.ConsumeStatus();
 }
 
 /// Covering workload for the socket/framing sites: a loopback
@@ -194,7 +189,7 @@ Status IngestRoundTripImpl() {
   return Status::OK();
 }
 
-Status RunIngestRoundTrip(size_t) {
+Status RunIngestRoundTrip() {
   try {
     return IngestRoundTripImpl();
   } catch (const std::exception& e) {
@@ -251,7 +246,7 @@ Status DurabilityRoundTripImpl() {
   return status;
 }
 
-Status RunDurabilityRoundTrip(size_t) {
+Status RunDurabilityRoundTrip() {
   try {
     return DurabilityRoundTripImpl();
   } catch (const std::exception& e) {
@@ -262,7 +257,7 @@ Status RunDurabilityRoundTrip(size_t) {
   }
 }
 
-Status RunNetRoundTrip(size_t) {
+Status RunNetRoundTrip() {
   try {
     return NetRoundTripImpl();
   } catch (const std::exception& e) {
@@ -274,47 +269,40 @@ Status RunNetRoundTrip(size_t) {
 
 struct SiteWorkload {
   const char* site;
-  Status (*run)(size_t threads);
-  /// False for sites that only exist on the pooled path (shard tasks,
-  /// pool dispatch): the serial run must then succeed untouched.
-  bool fires_serially;
+  Status (*run)();
 };
-
-Status RunCsvIgnoringThreads(size_t) { return RunCsvLoad(); }
 
 const std::vector<SiteWorkload>& CoveringWorkloads() {
   static const std::vector<SiteWorkload>* workloads =
       new std::vector<SiteWorkload>{
-          {"csv.read", RunCsvIgnoringThreads, true},
-          {"csv.record", RunCsvIgnoringThreads, true},
-          {"eval.operator", RunEvaluate, true},
-          {"eval.join.probe", RunEvaluate, true},
-          {"annotated.operator", RunAnnotated, true},
-          {"minimize.pattern", RunMinimize, true},
-          {"minimize.shard", RunMinimize, false},
-          {"pool.dispatch", RunMinimize, false},
-          {"server.accept", RunNetRoundTrip, true},
-          {"server.read", RunNetRoundTrip, true},
-          {"server.read.short", RunNetRoundTrip, true},
-          {"server.decode", RunNetRoundTrip, true},
-          {"server.write", RunNetRoundTrip, true},
-          {"server.ingest", RunIngestRoundTrip, true},
-          {"wal.open", RunDurabilityRoundTrip, true},
-          {"wal.append", RunDurabilityRoundTrip, true},
-          {"wal.append.short", RunDurabilityRoundTrip, true},
-          {"wal.corrupt", RunDurabilityRoundTrip, true},
-          {"wal.fsync", RunDurabilityRoundTrip, true},
-          {"checkpoint.write", RunDurabilityRoundTrip, true},
-          {"checkpoint.rename", RunDurabilityRoundTrip, true},
-          {"recovery.record", RunDurabilityRoundTrip, true},
+          {"csv.read", RunCsvLoad},
+          {"csv.record", RunCsvLoad},
+          {"eval.operator", RunEvaluate},
+          {"eval.join.probe", RunEvaluate},
+          {"annotated.operator", RunAnnotated},
+          {"minimize.pattern", RunMinimize},
+          {"pool.dispatch", RunPoolRound},
+          {"server.accept", RunNetRoundTrip},
+          {"server.read", RunNetRoundTrip},
+          {"server.read.short", RunNetRoundTrip},
+          {"server.decode", RunNetRoundTrip},
+          {"server.write", RunNetRoundTrip},
+          {"server.ingest", RunIngestRoundTrip},
+          {"wal.open", RunDurabilityRoundTrip},
+          {"wal.append", RunDurabilityRoundTrip},
+          {"wal.append.short", RunDurabilityRoundTrip},
+          {"wal.corrupt", RunDurabilityRoundTrip},
+          {"wal.fsync", RunDurabilityRoundTrip},
+          {"checkpoint.write", RunDurabilityRoundTrip},
+          {"checkpoint.rename", RunDurabilityRoundTrip},
+          {"recovery.record", RunDurabilityRoundTrip},
       };
   return *workloads;
 }
 
 // ---------------------------------------------------------------------------
-// The matrix: every compiled-in site x {error, throw}, serial and
-// parallel. Nothing may terminate the process; where both paths reach
-// the site they must return the same error code.
+// The matrix: every compiled-in site x {error, throw}. Nothing may
+// terminate the process, and every site surfaces the injected code.
 
 TEST_F(FaultInjectionTest, CoveringWorkloadsMatchAllSites) {
   // The workload table above and AllSites() must stay in sync, or the
@@ -334,7 +322,7 @@ TEST_F(FaultInjectionTest, EverySiteFiresOnItsCoveringWorkload) {
     Failpoints::Global().Activate(w.site, FailpointSpec::Sleep(0));
   }
   for (const SiteWorkload& w : CoveringWorkloads()) {
-    EXPECT_TRUE(w.run(4).ok()) << w.site;
+    EXPECT_TRUE(w.run().ok()) << w.site;
   }
   for (const SiteWorkload& w : CoveringWorkloads()) {
     EXPECT_GT(Failpoints::Global().FireCount(w.site), 0u) << w.site;
@@ -343,51 +331,25 @@ TEST_F(FaultInjectionTest, EverySiteFiresOnItsCoveringWorkload) {
 
 TEST_F(FaultInjectionTest, ErrorActionSurfacesTheInjectedCode) {
   for (const SiteWorkload& w : CoveringWorkloads()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      Failpoints::Global().Activate(
-          w.site, FailpointSpec::Error(StatusCode::kOutOfRange));
-      Status status = w.run(threads);
-      Failpoints::Global().Clear();
-      if (threads > 1 || w.fires_serially) {
-        EXPECT_EQ(status.code(), StatusCode::kOutOfRange)
-            << w.site << " with " << threads << " threads: " << status;
-      } else {
-        EXPECT_TRUE(status.ok()) << w.site << " serial: " << status;
-      }
-    }
+    Failpoints::Global().Activate(
+        w.site, FailpointSpec::Error(StatusCode::kOutOfRange));
+    Status status = w.run();
+    Failpoints::Global().Clear();
+    EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << w.site << ": "
+                                                      << status;
   }
 }
 
 TEST_F(FaultInjectionTest, ThrowActionBecomesInternalStatusEverywhere) {
-  // A throw-action failpoint exercises the exception guards: pooled
-  // tasks capture it in the worker, serial paths in the entry-point
-  // guard — both must surface kInternal, never terminate.
+  // A throw-action failpoint exercises the exception guards: pool tasks
+  // capture it in the worker, library paths in the entry-point guard —
+  // both must surface kInternal, never terminate.
   for (const SiteWorkload& w : CoveringWorkloads()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      Failpoints::Global().Activate(w.site, FailpointSpec::Throw());
-      Status status = w.run(threads);
-      Failpoints::Global().Clear();
-      if (threads > 1 || w.fires_serially) {
-        EXPECT_EQ(status.code(), StatusCode::kInternal)
-            << w.site << " with " << threads << " threads: " << status;
-      } else {
-        EXPECT_TRUE(status.ok()) << w.site << " serial: " << status;
-      }
-    }
-  }
-}
-
-TEST_F(FaultInjectionTest, SerialAndParallelReturnTheSameCode) {
-  for (const SiteWorkload& w : CoveringWorkloads()) {
-    if (!w.fires_serially) continue;
-    Failpoints::Global().Activate(
-        w.site, FailpointSpec::Error(StatusCode::kResourceExhausted));
-    Status serial = w.run(1);
-    Failpoints::Global().Activate(
-        w.site, FailpointSpec::Error(StatusCode::kResourceExhausted));
-    Status parallel = w.run(4);
+    Failpoints::Global().Activate(w.site, FailpointSpec::Throw());
+    Status status = w.run();
     Failpoints::Global().Clear();
-    EXPECT_EQ(serial.code(), parallel.code()) << w.site;
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << w.site << ": "
+                                                    << status;
   }
 }
 
@@ -462,11 +424,11 @@ TEST_F(FaultInjectionTest, ParsesFullSpecStrings) {
                       "minimize.pattern=error;pool.dispatch=sleep(2);"
                       "csv.record=once:throw;"
                       "eval.operator=every(3):error(timeout);"
-                      "minimize.shard=prob(0.25,42):error(resource_exhausted)")
+                      "wal.fsync=prob(0.25,42):error(resource_exhausted)")
                   .ok());
   for (const char* name :
        {"minimize.pattern", "pool.dispatch", "csv.record", "eval.operator",
-        "minimize.shard"}) {
+        "wal.fsync"}) {
     EXPECT_TRUE(Failpoints::Global().IsActive(name)) << name;
   }
   // every(3):error(timeout) behaves as parsed.
@@ -495,7 +457,38 @@ TEST_F(FaultInjectionTest, EntriesBeforeAMalformedOneStayArmed) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool failure semantics the matrix relies on.
+// ThreadPool: the wait group, and the failure semantics the matrix relies
+// on.
+
+TEST(ThreadPoolTest, InlineModeRunsTasksImmediately) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  int x = 0;
+  pool.Submit([&x] { x = 42; });
+  EXPECT_EQ(x, 42);  // ran inline, no Wait needed
+  pool.Wait();
+}
+
+TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4u);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) {
+    pool.Submit([&count] { count.fetch_add(1); });
+  }
+  pool.Wait();
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPoolTest, WaitGroupIsReusable) {
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 10; ++i) pool.Submit([&count] { count.fetch_add(1); });
+    pool.Wait();
+    EXPECT_EQ(count.load(), (round + 1) * 10);
+  }
+}
 
 TEST_F(FaultInjectionTest, PoolCapturesTaskExceptionsAsInternal) {
   ThreadPool pool(4);
@@ -528,11 +521,13 @@ TEST_F(FaultInjectionTest, FirstErrorCancelsQueuedTasksDeterministically) {
 }
 
 TEST_F(FaultInjectionTest, SleepActionDelaysButDoesNotFail) {
+  const uint64_t base = Failpoints::Global().FireCount("pool.dispatch");
   Failpoints::Global().Activate("pool.dispatch", FailpointSpec::Sleep(1));
   Failpoints::Global().Activate("minimize.pattern",
                                 FailpointSpec::Sleep(0.1).EveryNth(100));
-  EXPECT_TRUE(RunMinimize(4).ok());
-  EXPECT_GT(Failpoints::Global().FireCount("pool.dispatch"), 0u);
+  EXPECT_TRUE(RunPoolRound().ok());
+  EXPECT_TRUE(RunMinimize().ok());
+  EXPECT_GT(Failpoints::Global().FireCount("pool.dispatch"), base);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "pattern/annotated_eval.h"
 #include "relational/evaluator.h"
 #include "sql/parser.h"
@@ -170,15 +176,70 @@ TEST(PlanOptimizerTest, ObjectivesCanDisagree) {
   EXPECT_LE(meta_cost_of_meta_best, meta_cost_of_data_best);
 }
 
+/// One plan per operator kind over the maintenance database, plus the
+/// paper's Q_hw: the table that pins ComputeQueryPatterns (the
+/// evaluation recursion without data) to EvaluateAnnotated's patterns.
+std::vector<std::pair<std::string, ExprPtr>> OperatorPlans() {
+  const ExprPtr warnings = Expr::Scan("Warnings");
+  return {
+      {"scan", warnings},
+      {"select_const", Expr::SelectConst(warnings, "week", 2)},
+      {"select_attr_eq",
+       Expr::SelectAttrEq(Expr::CrossJoin(Expr::Scan("Warnings", "W"),
+                                          Expr::Scan("Maintenance", "M")),
+                          "W.ID", "M.ID")},
+      {"project_out", Expr::ProjectOut(warnings, "day")},
+      {"rearrange", Expr::Rearrange(warnings, {"ID", "week"})},
+      {"join", Expr::Join(warnings, Expr::Scan("Maintenance"), "ID", "ID")},
+      {"cross_product",
+       Expr::CrossJoin(Expr::Scan("Maintenance"), Expr::Scan("Teams"))},
+      {"aggregate",
+       Expr::Aggregate(warnings, {"week"}, {AggSpec{AggFunc::kCount, "", "n"}})},
+      {"sort", Expr::Sort(warnings, {"day"})},
+      {"limit", Expr::Limit(Expr::Scan("Teams"), 2)},
+      {"union", Expr::Union(Expr::SelectConst(warnings, "week", 1),
+                            Expr::SelectConst(warnings, "week", 2))},
+      {"q_hw", MakeHardwareWarningsQuery()},
+  };
+}
+
+/// `adb` with every table emptied of rows; schemas and patterns kept.
+AnnotatedDatabase WithoutRows(const AnnotatedDatabase& adb) {
+  AnnotatedDatabase out;
+  for (const std::string& name : adb.database().TableNames()) {
+    auto table = adb.database().GetTable(name);
+    EXPECT_TRUE(table.ok());
+    EXPECT_TRUE(out.CreateTable(name, (*table)->schema()).ok());
+    out.SetPatterns(name, adb.patterns(name));
+  }
+  return out;
+}
+
 TEST(ComputeQueryPatternsTest, MatchesAnnotatedEvaluation) {
+  // ComputeQueryPatterns is EvaluateAnnotated's recursion run without
+  // data, so it must yield the same patterns for every operator kind —
+  // also over a copy of the database whose tables hold no rows.
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
-  ExprPtr q = MakeHardwareWarningsQuery();
-  auto schema_only = ComputeQueryPatterns(q, adb);
-  ASSERT_TRUE(schema_only.ok()) << schema_only.status().ToString();
-  auto full = EvaluateAnnotated(q, adb);
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(schema_only->SetEquals(full->patterns))
-      << schema_only->ToString();
+  AnnotatedDatabase empty = WithoutRows(adb);
+  std::set<ExprKind> kinds;
+  std::function<void(const Expr&)> collect = [&](const Expr& e) {
+    kinds.insert(e.kind());
+    if (e.left() != nullptr) collect(*e.left());
+    if (e.right() != nullptr) collect(*e.right());
+  };
+  for (const auto& [name, plan] : OperatorPlans()) {
+    collect(*plan);
+    auto full = EvaluateAnnotated(plan, adb);
+    ASSERT_TRUE(full.ok()) << name << ": " << full.status();
+    for (const AnnotatedDatabase* db : {&adb, &empty}) {
+      auto schema_only = ComputeQueryPatterns(plan, *db);
+      ASSERT_TRUE(schema_only.ok()) << name << ": " << schema_only.status();
+      EXPECT_TRUE(schema_only->SetEquals(full->patterns))
+          << name << (db == &empty ? " (no rows): " : ": ")
+          << schema_only->ToString() << " vs " << full->patterns.ToString();
+    }
+  }
+  EXPECT_EQ(kinds.size(), 10u);  // every ExprKind, kScan .. kUnion
 }
 
 TEST(ComputeQueryPatternsTest, RejectsInstanceAwareOptions) {

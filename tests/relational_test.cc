@@ -190,6 +190,14 @@ TEST_F(EvaluatorTest, SelectAttrEq) {
   EXPECT_EQ(result->num_rows(), 1u);
 }
 
+TEST_F(EvaluatorTest, SelectAttrEqRejectsMixedTypes) {
+  // As in Expr::OutputSchema, comparing a string with an int is a type
+  // error, not an always-empty selection.
+  auto result =
+      Evaluate(Expr::SelectAttrEq(Expr::Scan("Warnings"), "day", "week"), *db_);
+  EXPECT_EQ(result.status().code(), StatusCode::kTypeError);
+}
+
 TEST_F(EvaluatorTest, EquiJoin) {
   ExprPtr join = Expr::Join(Expr::Scan("Maintenance", "M"),
                             Expr::Scan("Teams", "T"), "responsible", "name");

@@ -1,6 +1,6 @@
 // Negative-compile fixture for the thread-safety annotation layer: this
 // file MUST NOT compile under clang with -Wthread-safety -Werror (the
-// `tsa` preset / tools/ci.sh lint stage verify that it is rejected). It
+// `tsa` preset / tools/ci.sh analyze stage verify that it is rejected). It
 // is never part of any normal build target.
 //
 // Each function below commits a distinct lock-discipline crime against

@@ -147,30 +147,23 @@ TEST_F(TraceTest, RecordIntervalParentsUnderTheCurrentSpan) {
 
 TEST_F(TraceTest, SpanBalanceSurvivesTheFaultMatrix) {
   // Every compiled-in failpoint site, armed with error and with throw,
-  // against the traced annotated evaluation, serial and parallel. No
-  // early return or exception unwinding may leak an open span — RAII
-  // spans must close on every path. (Sites outside the evaluator simply
-  // never fire here; their runs double as clean-path balance checks.)
+  // against the traced annotated evaluation. No early return or
+  // exception unwinding may leak an open span — RAII spans must close on
+  // every path. (Sites outside the evaluator simply never fire here;
+  // their runs double as clean-path balance checks.)
   const uint64_t trips_before = EngineMetrics().failpoint_trips->Value();
   AnnotatedDatabase adb = MakeMaintenanceDatabase();
   for (const std::string& site : Failpoints::AllSites()) {
     for (int action = 0; action < 2; ++action) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        Failpoints::Global().Activate(
-            site, action == 0
-                      ? FailpointSpec::Error(StatusCode::kOutOfRange)
-                      : FailpointSpec::Throw());
-        AnnotatedEvalOptions options;
-        options.num_threads = threads;
-        // The status is the fault matrix's concern
-        // (fault_injection_test); here only the balance matters.
-        static_cast<void>(
-            EvaluateAnnotated(MakeHardwareWarningsQuery(), adb, options));
-        Failpoints::Global().Clear();
-        EXPECT_EQ(Tracer::Global().OpenSpanCount(), baseline_open_)
-            << site << (action == 0 ? " error" : " throw") << " threads="
-            << threads;
-      }
+      Failpoints::Global().Activate(
+          site, action == 0 ? FailpointSpec::Error(StatusCode::kOutOfRange)
+                            : FailpointSpec::Throw());
+      // The status is the fault matrix's concern (fault_injection_test);
+      // here only the balance matters.
+      static_cast<void>(EvaluateAnnotated(MakeHardwareWarningsQuery(), adb));
+      Failpoints::Global().Clear();
+      EXPECT_EQ(Tracer::Global().OpenSpanCount(), baseline_open_)
+          << site << (action == 0 ? " error" : " throw");
     }
   }
   // The matrix tripped evaluator failpoints, and EngineMetrics()'s

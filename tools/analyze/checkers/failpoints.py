@@ -12,9 +12,9 @@ Four artifacts describe the same set of failpoint sites:
 Any of these drifting silently means a fault path that exists but is
 never exercised, or a sweep/doc entry for a site that no longer fires.
 The checker cross-checks all pairs, in both directions. A deliberate
-omission (ci.sh leaves out pool.dispatch because arming it violates
-ParallelFor's documented precondition) carries an inline suppression
-with that justification. Artifacts absent under --root (fixture trees)
+omission (ci.sh leaves out pool.dispatch because a dispatch fault on
+the server's eval pool skips a query job, which then never answers)
+carries an inline suppression with that justification. Artifacts absent under --root (fixture trees)
 skip their comparisons.
 """
 

@@ -1,183 +1,23 @@
 """unchecked-status: the Status/Result discipline, statically enforced.
 
-Three complementary rules:
-
-1. The Status and Result class templates themselves carry a class-level
-   [[nodiscard]] (src/common/status.h, src/common/result.h), so the
-   compiler rejects any discarded by-value return under -Werror.
-2. Every Status/Result-returning declaration in src/ headers carries a
-   function-level [[nodiscard]] as well — redundant with (1) for
-   by-value returns, but it keeps the contract visible at every API
-   site and survives a future reference-returning overload.
-3. A statement consisting solely of a call to a known Status/Result-
-   returning API (harvested from the src/ headers) discards the error;
-   wrap with PCDB_RETURN_NOT_OK / PCDB_CHECK(...ok()) or make the
-   discard explicit with static_cast<void>.
-
-Rule (3) deliberately re-implements what the compiler already proves
-via (1): the checker also runs on trees that do not compile (fixtures,
-mid-refactor states) and reports the project idiom in its message.
+The Status and Result class templates themselves carry a class-level
+[[nodiscard]] (src/common/status.h, src/common/result.h). With the
+build's -Wall -Werror, the compiler then rejects every discarded
+by-value return (-Werror=unused-result), whether or not the function
+declaration repeats the attribute, and .clang-tidy's
+bugprone-unused-return-value covers the same case. This checker pins
+the one thing the compiler cannot: that the class-level attribute stays.
 """
 
 import re
 
 from ..framework import Finding, checker
 
-NODISCARD_SWEEP_DIRS = ("src/common/", "src/obs/", "src/relational/",
-                        "src/pattern/", "src/sql/", "src/server/",
-                        "src/workloads/")
-
-# A declaration whose return type is Status or Result<...>, with the
-# optional [[nodiscard]] and specifiers captured so their absence is
-# detectable. Anchored by hand (see _anchored) to declaration starts.
-DECL_RE = re.compile(
-    r"(?P<nd>\[\[nodiscard\]\]\s+)?"
-    r"(?P<spec>(?:static|virtual|inline|constexpr|explicit|friend)\s+)*"
-    r"(?P<type>Status|Result<[^;={}()]{1,160}>)\s*&?\s+"
-    r"(?P<name>[A-Za-z_]\w*)\s*\(")
-
-# Characters that can legitimately precede a declaration start.
-_ANCHOR_CHARS = {";", "{", "}", ":", ">", ")", ""}
-
-# Statement openers that always use or intentionally route the value,
-# plus declaration specifiers and the two explicit-discard spellings.
-_SKIP_STMT_RE = re.compile(
-    r"^(?:return|co_return|if|else|while|for|do|switch|case|default|"
-    r"break|continue|goto|throw|delete|new|using|namespace|template|"
-    r"typedef|static_assert|public|private|protected|extern|friend|"
-    r"static|virtual|inline|constexpr|explicit|"
-    r"static_cast|co_await|co_yield)\b"
-    r"|^\(void\)"
-    r"|^[A-Z][A-Z0-9_]*\s*\("  # macro invocation (PCDB_*, EXPECT_*, ...)
-    r"|^#")
-
-# Declaration-like statement: a type followed by a parenthesized name
-# or ctor arguments ("Status st(...)", "Table decoded(schema)").
-_DECL_STMT_RE = re.compile(
-    r"^[A-Za-z_][\w:]*(?:<[^;]*>)?[\s*&]+[A-Za-z_]\w*\s*\(")
-
-
-def _anchored(pure, pos):
-    i = pos - 1
-    while i >= 0 and pure[i] in " \t\n":
-        i -= 1
-    return (pure[i] if i >= 0 else "") in _ANCHOR_CHARS
-
-
-# Any function declaration/definition, for overload-ambiguity pruning.
-_ANY_DECL_RE = re.compile(
-    r"(?:\[\[nodiscard\]\]\s+)?"
-    r"(?:(?:static|virtual|inline|constexpr|explicit|friend)\s+)*"
-    r"(?P<type>[A-Za-z_][\w:]*(?:<[^;={}()]{1,160}>)?)\s*[&*]?\s+"
-    r"(?P<name>[A-Za-z_]\w*)\s*\(")
-
-
-def harvest_api(repo):
-    """Names of Status/Result-returning functions declared in src/ headers.
-
-    A name that also has a non-Status/Result-returning declaration
-    anywhere in the tree is dropped: a lexical pass cannot resolve
-    overloads, and a false "discarded" report on the value-returning
-    overload would train people to ignore the checker. The compiler
-    still covers the dropped names via the class-level [[nodiscard]].
-    """
-    api = set()
-    for sf in repo.src_headers():
-        for m in DECL_RE.finditer(sf.pure):
-            if _anchored(sf.pure, m.start()):
-                api.add(m.group("name"))
-    keywords = {"return", "co_return", "co_yield", "co_await", "throw",
-                "new", "delete", "else", "case", "goto", "using",
-                "typedef", "namespace", "if", "while", "for", "switch",
-                "do", "break", "continue", "public", "private",
-                "protected", "default", "Status", "Result"}
-    if api:
-        for sf in repo.cpp_files():
-            for m in _ANY_DECL_RE.finditer(sf.pure):
-                name = m.group("name")
-                base = m.group("type").split("<")[0]
-                if (name in api and base not in keywords
-                        and _anchored(sf.pure, m.start())):
-                    api.discard(name)
-    return api
-
-
-def _statements(pure):
-    """Yields (lineno, stmt) for top-level-semicolon statements."""
-    line = 1
-    stmt_line = 1
-    depth = 0
-    buf = []
-    for c in pure:
-        if c == "\n":
-            line += 1
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth = max(0, depth - 1)
-        if c == ";" and depth == 0:
-            yield stmt_line, "".join(buf).strip()
-            buf = []
-            stmt_line = line
-            continue
-        if c in "{}" and depth == 0:
-            buf = []
-            stmt_line = line
-            continue
-        if not buf and c in " \t\n":
-            stmt_line = line
-            continue
-        buf.append(c)
-
-
-def _top_level_assign(stmt):
-    depth = 0
-    for i, c in enumerate(stmt):
-        if c in "([<":
-            depth += 1
-        elif c in ")]>":
-            depth = max(0, depth - 1)
-        elif c == "=" and depth == 0:
-            prev = stmt[i - 1] if i else ""
-            nxt = stmt[i + 1] if i + 1 < len(stmt) else ""
-            if prev not in "=!<>+-*/&|^" and nxt != "=":
-                return True
-    return False
-
-
-def _final_call_name(stmt):
-    """For `a.B(x)->C(y)` returns "C"; None if the statement is not a
-    plain call chain (so the value is consumed some other way)."""
-    i = 0
-    while True:
-        m = re.search(r"([A-Za-z_]\w*)\s*\(", stmt[i:])
-        if not m:
-            return None
-        start = i + m.end() - 1
-        depth = 0
-        j = start
-        while j < len(stmt):
-            if stmt[j] == "(":
-                depth += 1
-            elif stmt[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if j >= len(stmt):
-            return None
-        rest = stmt[j + 1:].strip()
-        if rest.startswith(".") or rest.startswith("->"):
-            i = j + 1
-            continue
-        return m.group(1) if rest == "" else None
-
 
 @checker("unchecked-status",
-         "Status/Result returns carry [[nodiscard]] and are never "
-         "silently discarded")
+         "Status/Result carry a class-level [[nodiscard]], so the compiler "
+         "rejects every discarded return")
 def unchecked_status(repo):
-    # (1) class-level attribute on the error types themselves.
     for rel, cls in (("src/common/status.h", "Status"),
                      ("src/common/result.h", "Result")):
         sf = repo.get(rel)
@@ -191,38 +31,3 @@ def unchecked_status(repo):
                 "unchecked-status", rel, line,
                 f"class {cls} must be declared [[nodiscard]] so every "
                 f"discarded by-value return is a compile error")
-
-    # (2) function-level attribute on every declaration in src/ headers.
-    for sf in repo.src_headers():
-        if not sf.rel.startswith(NODISCARD_SWEEP_DIRS):
-            continue
-        for m in DECL_RE.finditer(sf.pure):
-            if not _anchored(sf.pure, m.start()) or m.group("nd"):
-                continue
-            line = sf.pure.count("\n", 0, m.start("name")) + 1
-            yield Finding(
-                "unchecked-status", sf.rel, line,
-                f"declaration of '{m.group('name')}' returns "
-                f"{m.group('type').split('<')[0]} but lacks "
-                f"[[nodiscard]]")
-
-    # (3) discarded calls anywhere in the tree.
-    api = harvest_api(repo)
-    if not api:
-        return
-    for sf in repo.cpp_files():
-        for lineno, stmt in _statements(sf.pure):
-            # [[nodiscard]] and other attribute prefixes would defeat
-            # the declaration-shape test below.
-            stmt = re.sub(r"^(?:\[\[[^\]]*\]\]\s*)+", "", stmt)
-            if not stmt or _SKIP_STMT_RE.match(stmt):
-                continue
-            if _DECL_STMT_RE.match(stmt) or _top_level_assign(stmt):
-                continue
-            name = _final_call_name(stmt)
-            if name in api:
-                yield Finding(
-                    "unchecked-status", sf.rel, lineno,
-                    f"result of Status/Result-returning call '{name}' is "
-                    f"discarded; use PCDB_RETURN_NOT_OK / check .ok(), "
-                    f"or static_cast<void> to discard explicitly")

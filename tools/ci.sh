@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point. Stages:
-#   tools/ci.sh            # tier-1 build + full ctest, then TSan parallel suite
+#   tools/ci.sh            # tier-1 build + full ctest, then the TSan
+#                          # concurrency suites (pool, faults, server)
 #   tools/ci.sh --asan     # additionally run the full suite under ASan/UBSan
 #   tools/ci.sh analyze    # static stages: pcdb-analyze checker framework
 #                          # (SARIF archived at build/analyze/analyze.sarif),
 #                          # golden-fixture harness, clang-tidy, TSA build,
 #                          # negative-compile check (clang stages self-skip
 #                          # when clang/clang-tidy are not installed).
-#                          # "lint" is accepted as a compatibility alias.
 #   tools/ci.sh fuzz       # build fuzz harnesses under ASan/UBSan and smoke
 #                          # each for ~30s (libFuzzer under clang; corpus +
 #                          # deterministic mutation replay elsewhere)
@@ -24,7 +24,7 @@
 #                          # two mixed loadgen runs (punctuation-heavy vs
 #                          # row-ingest-heavy) whose cache-hit-rate delta
 #                          # demonstrates signature-keyed invalidation;
-#                          # results land in BENCH_PR6.json
+#                          # results land in build/bench/ingest.json
 #   tools/ci.sh crash      # durable write path: WAL/checkpoint suites, then
 #                          # a live kill -9 harness — scripted ingests killed
 #                          # at a randomized offset (plain and under wal.*
@@ -32,7 +32,7 @@
 #                          # present; torn-tail fixture; duplicate-retry
 #                          # exactly-once; SIGTERM drain checkpoint; group-
 #                          # commit throughput (wal off vs on) in
-#                          # BENCH_PR8.json
+#                          # build/bench/crash.json
 #   tools/ci.sh dist       # distributed mode: dist suites, then a live
 #                          # 3-shard fleet behind pcdb_coord — serial vs
 #                          # distributed answer differential, write fan-out
@@ -40,19 +40,23 @@
 #                          # mid-load (queries must degrade to Unavailable,
 #                          # never a silently wrong completeness verdict),
 #                          # restart + convergence; coordinator overhead and
-#                          # 3-shard scaling land in BENCH_PR9.json
+#                          # 3-shard scaling land in build/bench/dist.json
 #   tools/ci.sh obs        # observability: full suite under PCDB_TRACE=1,
 #                          # validate the Chrome-trace dumps with
 #                          # tools/check_trace.py, then measure loadgen
 #                          # p50/p95/p99 with tracing off vs on and record
-#                          # the overhead in BENCH_PR5.json (p95 overhead
-#                          # must stay within 5% or 0.5ms, whichever is
-#                          # larger)
+#                          # the overhead in build/bench/obs.json (p95
+#                          # overhead must stay within 5% or 0.5ms,
+#                          # whichever is larger)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 FUZZ_SECONDS="${FUZZ_SECONDS:-30}"
+# The stages' bench legs record here. The committed BENCH_PR*.json files
+# are earlier changes' records and stay as they were written.
+BENCH_DIR="build/bench"
+mkdir -p "$BENCH_DIR"
 
 run_tier1() {
   echo "=== tier-1: release build + full ctest ==="
@@ -60,13 +64,14 @@ run_tier1() {
   cmake --build --preset release -j "$JOBS"
   ctest --preset release -j "$JOBS"
 
-  echo "=== TSan: parallel + fault-injection + governed-context suites ==="
+  echo "=== TSan: pool + fault-injection + governed-context + server suites ==="
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" \
-    --target parallel_test fault_injection_test exec_context_test
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_test
+    --target fault_injection_test exec_context_test server_test
+  # fault_injection_test holds the ThreadPoolTest suite.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/fault_injection_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/exec_context_test
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
 }
 
 run_asan() {
@@ -227,19 +232,17 @@ run_faults() {
   echo "--- error/throw injection: tests may fail, the process may not die"
   # Keep this list in sync with Failpoints::AllSites()
   # (fault_injection_test cross-checks the same list programmatically).
-  # pool.dispatch is deliberately absent here: the void ParallelFor API —
-  # used directly by parallel_test — documents task failure as a
-  # programming error (PCDB_CHECK), so arming that site breaks its
-  # precondition. Governed entry points route all fallible fan-outs
-  # through TryParallelFor*, and fault_injection_test above injects
-  # pool.dispatch faults through those paths.
-  # pcdb-analyze: allow(failpoint-drift): pool.dispatch is exercised via TryParallelFor in fault_injection_test; arming it here would violate ParallelFor's documented precondition
+  # pool.dispatch is deliberately absent here: an error or throw there
+  # skips the task it guards, and on the server's eval pool that task is
+  # a query job, which then never answers — the client waits instead of
+  # failing. fault_injection_test above covers the site on a bare pool.
+  # pcdb-analyze: allow(failpoint-drift): a dispatch fault on the server's eval pool skips a query job, which then never answers
   local sites="csv.read csv.record eval.operator eval.join.probe \
-    minimize.pattern minimize.shard annotated.operator \
+    minimize.pattern annotated.operator \
     server.accept server.read server.read.short server.decode server.write \
     server.ingest wal.open wal.append wal.append.short wal.corrupt \
     wal.fsync checkpoint.write checkpoint.rename recovery.record"
-  local bins="relational_test minimize_test annotated_eval_test parallel_test \
+  local bins="relational_test minimize_test annotated_eval_test \
     protocol_test server_test wal_test"
   local action site spec bin rc
   for action in "error" "error(timeout)" "throw"; do
@@ -318,7 +321,8 @@ run_obs() {
   python3 tools/check_trace.py "$dump_dir" --min-events 100
   rm -rf "$dump_dir"
 
-  if ! python3 - "$off_runs" "$on_runs" > BENCH_PR5.json <<'PY'
+  local obs_out="$BENCH_DIR/obs.json"
+  if ! python3 - "$off_runs" "$on_runs" > "$obs_out" <<'PY'
 import json, sys
 def parse(blob):
     return [json.loads(line) for line in blob.splitlines() if line.strip()]
@@ -358,11 +362,11 @@ bad = (out["p95_overhead_pct"] > 5.0
 sys.exit(1 if bad else 0)
 PY
   then
-    cat BENCH_PR5.json >&2
+    cat "$obs_out" >&2
     echo "ERROR: tracing p95 overhead exceeds 5% (and 0.5ms)" >&2
     exit 1
   fi
-  cat BENCH_PR5.json
+  cat "$obs_out"
 
   echo "=== obs: fleet trace — 3 shards + pcdb_coord, merge + stitch ==="
   local fleet_dir fleet_ports=() fleet_coord s
@@ -394,16 +398,18 @@ PY
     --min-events 50
   rm -rf "$fleet_dir"
 
-  echo "=== obs: coordinator-path tracing overhead (BENCH_PR10.json) ==="
-  rm -f BENCH_PR10.json
+  local fleet_out="$BENCH_DIR/obs_fleet.json"
+  echo "=== obs: coordinator-path tracing overhead ($fleet_out) ==="
+  rm -f "$fleet_out"
   local dump_dir10
   dump_dir10="$(mktemp -d)"
-  obs_dist_bench_fleet 3
-  PCDB_TRACE=1 PCDB_TRACE_DIR="$dump_dir10" obs_dist_bench_fleet 3
+  obs_dist_bench_fleet 3 "$fleet_out"
+  PCDB_TRACE=1 PCDB_TRACE_DIR="$dump_dir10" obs_dist_bench_fleet 3 "$fleet_out"
   rm -rf "$dump_dir10"
-  if ! python3 - <<'PY'
-import json
-runs = [json.loads(line) for line in open("BENCH_PR10.json")
+  if ! python3 - "$fleet_out" <<'PY'
+import json, sys
+out_path = sys.argv[1]
+runs = [json.loads(line) for line in open(out_path)
         if line.strip()]
 runs = [r for r in runs if r.get("bench") == "pcdbd_loadgen"]
 assert len(runs) == 6, f"expected 3 off + 3 on runs, got {len(runs)}"
@@ -430,11 +436,11 @@ summary = {
     "p95_overhead_pct": round(
         pct(best(off, "p95_ms"), best(on, "p95_ms")), 2),
 }
-with open("BENCH_PR10.json", "a") as f:
+with open(out_path, "a") as f:
     json.dump(summary, f)
     f.write("\n")
 print(json.dumps(summary, indent=2))
-# Gate as in BENCH_PR5: p95 overhead over 5% fails, with a 0.5 ms
+# Gate as in the single-server leg: p95 overhead over 5% fails, with a 0.5 ms
 # absolute floor so sub-millisecond baselines ignore scheduler noise.
 # Any request errors in any leg fail outright.
 bad = (summary["p95_overhead_pct"] > 5.0
@@ -444,7 +450,7 @@ bad = bad or any(r.get("errors", 0) or r.get("write_errors", 0)
 raise SystemExit(1 if bad else 0)
 PY
   then
-    cat BENCH_PR10.json >&2
+    cat "$fleet_out" >&2
     echo "ERROR: coordinator-path tracing p95 overhead exceeds 5%" \
       "(and 0.5ms), or a bench leg saw errors" >&2
     exit 1
@@ -464,7 +470,7 @@ obs_dist_stop_fleet() {
 
 # Starts a fresh 3-shard fleet (cache off, so every request evaluates)
 # behind pcdb_coord, records $1 loadgen bursts through the coordinator
-# into BENCH_PR10.json, and stops the fleet with SIGTERM. The caller's
+# into the file $2, and stops the fleet with SIGTERM. The caller's
 # PCDB_TRACE/PCDB_TRACE_DIR environment decides traced vs untraced.
 #
 # The workload database holds only a handful of Warnings rows, which
@@ -475,7 +481,7 @@ obs_dist_stop_fleet() {
 # filter keeps the answer unchanged while every scan pays the
 # realistic per-row cost), then warmed with one untimed burst so both
 # modes record at their steady state.
-obs_dist_bench_fleet() {  # runs
+obs_dist_bench_fleet() {  # runs out
   local s i r bench_ports=() bench_coord row_args=()
   local seed_rows="${OBS_DIST_SEED_ROWS:-4000}"
   for s in 0 1 2; do
@@ -495,7 +501,7 @@ obs_dist_bench_fleet() {  # runs
   ./build/tools/pcdb_loadgen --endpoints "127.0.0.1:$bench_coord" \
     --connections 8 --requests "${OBS_LOADGEN_REQUESTS:-2000}" >/dev/null
   for i in $(seq 1 "$1"); do
-    tools/bench_record.sh --out BENCH_PR10.json ./build/tools/pcdb_loadgen \
+    tools/bench_record.sh --out "$2" ./build/tools/pcdb_loadgen \
       --endpoints "127.0.0.1:$bench_coord" --connections 8 \
       --requests "${OBS_LOADGEN_REQUESTS:-2000}"
   done
@@ -592,7 +598,8 @@ run_ingest() {
   punct_run="$(ingest_loadgen_run --punctuate-pct 20)"
   ingest_run="$(ingest_loadgen_run --write-pct 20)"
 
-  if ! python3 - "$punct_run" "$ingest_run" > BENCH_PR6.json <<'PY'
+  local ingest_out="$BENCH_DIR/ingest.json"
+  if ! python3 - "$punct_run" "$ingest_run" > "$ingest_out" <<'PY'
 import json, os, sys
 punct, ingest = (json.loads(a) for a in sys.argv[1:3])
 def summary(r):
@@ -627,13 +634,13 @@ print()
 sys.exit(0 if delta > 0.02 else 1)
 PY
   then
-    cat BENCH_PR6.json >&2
+    cat "$ingest_out" >&2
     echo "ERROR: punctuation mix shows no cache-hit-rate advantage over" >&2
     echo "row ingest — signature-keyed invalidation is not sparing" >&2
     echo "incomparable entries" >&2
     exit 1
   fi
-  cat BENCH_PR6.json
+  cat "$ingest_out"
   echo "ingest OK"
 }
 
@@ -829,7 +836,8 @@ run_crash() {
   nowal_out="$(crash_bench_run)"
   wal_out="$(crash_bench_run --wal-dir "$waldir2")"
   rm -rf "$waldir2"
-  if ! python3 - "$nowal_out" "$wal_out" > BENCH_PR8.json <<'PY'
+  local crash_out="$BENCH_DIR/crash.json"
+  if ! python3 - "$nowal_out" "$wal_out" > "$crash_out" <<'PY'
 import json, sys
 def parse(blob):
     lines = [l for l in blob.splitlines() if l.strip()]
@@ -861,12 +869,12 @@ print()
 sys.exit(0 if records > 0 and 0 < fsyncs <= records else 1)
 PY
   then
-    cat BENCH_PR8.json >&2
+    cat "$crash_out" >&2
     echo "ERROR: group-commit accounting is wrong (no records, no" >&2
     echo "fsyncs, or more fsyncs than records)" >&2
     exit 1
   fi
-  cat BENCH_PR8.json
+  cat "$crash_out"
   echo "crash OK"
 }
 
@@ -1108,13 +1116,14 @@ run_dist() {
   dist_cleanup
   for s in 0 1 2; do rm -rf "${waldirs[s]}"; done
 
-  echo "=== dist: coordinator overhead + 3-shard scaling (BENCH_PR9.json) ==="
-  rm -f BENCH_PR9.json
+  local dist_out="$BENCH_DIR/dist.json"
+  echo "=== dist: coordinator overhead + 3-shard scaling ($dist_out) ==="
+  rm -f "$dist_out"
   local direct_bench_port coord1_port coord3_port
   # Leg 1: loadgen straight at one plain pcdbd.
   dist_start pcdbd --port 0
   direct_bench_port="$DIST_PORT"
-  tools/bench_record.sh --out BENCH_PR9.json ./build/tools/pcdb_loadgen \
+  tools/bench_record.sh --out "$dist_out" ./build/tools/pcdb_loadgen \
     --port "$direct_bench_port" --connections 8 \
     --requests "${DIST_LOADGEN_REQUESTS:-2000}"
   # Leg 2: the same pcdbd behind a 1-shard coordinator — the delta vs
@@ -1122,7 +1131,7 @@ run_dist() {
   # of 1, so the handshake accepts it).
   dist_start pcdb_coord --shards "127.0.0.1:$direct_bench_port"
   coord1_port="$DIST_PORT"
-  tools/bench_record.sh --out BENCH_PR9.json ./build/tools/pcdb_loadgen \
+  tools/bench_record.sh --out "$dist_out" ./build/tools/pcdb_loadgen \
     --endpoints "127.0.0.1:$coord1_port" --connections 8 \
     --requests "${DIST_LOADGEN_REQUESTS:-2000}"
   # Leg 3: a fresh 3-shard fleet (no WAL — the bench measures the read
@@ -1137,14 +1146,15 @@ run_dist() {
     "127.0.0.1:${bench_shards[0]},127.0.0.1:${bench_shards[1]},127.0.0.1:${bench_shards[2]}" \
     --hashed Warnings
   coord3_port="$DIST_PORT"
-  tools/bench_record.sh --out BENCH_PR9.json ./build/tools/pcdb_loadgen \
+  tools/bench_record.sh --out "$dist_out" ./build/tools/pcdb_loadgen \
     --endpoints "127.0.0.1:$coord3_port" --connections 8 \
     --requests "${DIST_LOADGEN_REQUESTS:-2000}"
   dist_cleanup
 
-  if ! python3 - <<'PY'
-import json
-legs = [json.loads(line) for line in open("BENCH_PR9.json")
+  if ! python3 - "$dist_out" <<'PY'
+import json, sys
+out_path = sys.argv[1]
+legs = [json.loads(line) for line in open(out_path)
         if line.strip()]
 direct, coord1, coord3 = legs[:3]
 def pct(base, new):
@@ -1162,7 +1172,7 @@ summary = {
     "three_shard_qps_ratio_vs_one": round(coord3["qps"] / coord1["qps"], 3)
         if coord1["qps"] else None,
 }
-with open("BENCH_PR9.json", "a") as f:
+with open(out_path, "a") as f:
     json.dump(summary, f)
     f.write("\n")
 print(json.dumps(summary, indent=2))
@@ -1173,7 +1183,7 @@ bad = any(l.get("errors", 0) or l.get("write_errors", 0) for l in legs)
 raise SystemExit(1 if bad else 0)
 PY
   then
-    cat BENCH_PR9.json >&2
+    cat "$dist_out" >&2
     echo "ERROR: a bench leg saw request errors" >&2
     exit 1
   fi
@@ -1185,7 +1195,7 @@ RUN_ASAN=0
 for arg in "$@"; do
   case "$arg" in
     --asan) RUN_ASAN=1 ;;
-    analyze | lint) MODE="analyze" ;;
+    analyze) MODE="analyze" ;;
     fuzz) MODE="fuzz" ;;
     server) MODE="server" ;;
     faults) MODE="faults" ;;

@@ -119,8 +119,6 @@ int main(int argc, char** argv) {
       options.port = static_cast<uint16_t>(n);
     } else if (ParseUint(argc, argv, &i, "--eval-threads", &n)) {
       options.eval_threads = n;
-    } else if (ParseUint(argc, argv, &i, "--eval-threads-per-query", &n)) {
-      options.eval_threads_per_query = n;
     } else if (ParseUint(argc, argv, &i, "--max-inflight", &n)) {
       options.max_inflight = n;
     } else if (ParseUint(argc, argv, &i, "--max-queue", &n)) {
