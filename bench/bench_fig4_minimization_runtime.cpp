@@ -11,6 +11,10 @@
 // comparison (A1) and path indexing (C2) are inapplicable at scale
 // (A1 needed >100 s for only 10k patterns on the paper's hardware).
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "bench_util.h"
 #include "common/timer.h"
 #include "pattern/algebra.h"
@@ -55,15 +59,44 @@ PatternSet Subset(const std::vector<Pattern>& pool, size_t n, Rng* rng) {
   return out;
 }
 
-void Run(const PatternSet& input, MinimizeApproach approach,
-         PatternIndexKind kind) {
-  MinimizeStats stats;
-  Minimize(input, approach, kind, &stats);
-  std::printf("  %-3s %8zu patterns -> %7zu minimal   %9.1f ms\n",
-              MinimizeMethodName(kind, approach).c_str(), input.size(),
-              stats.output_size, stats.millis);
-  JsonResultLine("fig4_minimize", MinimizeMethodName(kind, approach),
-                 input.size(), stats.millis);
+/// One minimization method: an approach over an index structure.
+struct Method {
+  MinimizeApproach approach;
+  PatternIndexKind kind;
+};
+
+/// Repetitions per method and size: enough for a median, min and max.
+constexpr int kRepetitions = 3;
+
+/// Times every method kRepetitions times on `input`, the methods
+/// interleaved within each round so a drift in machine speed spreads
+/// over all of them, and prints each method's median with min and max.
+void RunSize(const PatternSet& input, const std::vector<Method>& methods) {
+  std::vector<std::vector<double>> millis(methods.size());
+  std::vector<size_t> output_size(methods.size(), 0);
+  for (int round = 0; round < kRepetitions; ++round) {
+    for (size_t m = 0; m < methods.size(); ++m) {
+      MinimizeStats stats;
+      Minimize(input, methods[m].approach, methods[m].kind, &stats);
+      millis[m].push_back(stats.millis);
+      output_size[m] = stats.output_size;
+    }
+  }
+  for (size_t m = 0; m < methods.size(); ++m) {
+    const std::string name =
+        MinimizeMethodName(methods[m].kind, methods[m].approach);
+    const double lo = *std::min_element(millis[m].begin(), millis[m].end());
+    const double hi = *std::max_element(millis[m].begin(), millis[m].end());
+    const double median = Median(millis[m]);
+    std::printf("  %-3s %8zu patterns -> %7zu minimal   %9.1f ms "
+                "(min %.1f, max %.1f)\n",
+                name.c_str(), input.size(), output_size[m], median, lo, hi);
+    char extra[96];
+    std::snprintf(extra, sizeof(extra),
+                  ",\"min_ms\":%.3f,\"max_ms\":%.3f,\"runs\":%d", lo, hi,
+                  kRepetitions);
+    JsonResultLine("fig4_minimize", name, input.size(), median, extra);
+  }
 }
 
 }  // namespace
@@ -80,19 +113,21 @@ int main() {
   std::printf("pool: %zu patterns of arity 12\n\n", pool.size());
 
   std::printf("scalable methods (paper: D1 fastest, ~25%% ahead of B1; "
-              "sorted variants slower):\n");
+              "sorted variants slower), median of %d interleaved runs:\n",
+              kRepetitions);
   for (size_t n : {25000u, 50000u, 100000u, 200000u}) {
     PatternSet input = Subset(pool, n, &rng);
-    Run(input, MinimizeApproach::kAllAtOnce,
-        PatternIndexKind::kDiscriminationTree);               // D1
-    Run(input, MinimizeApproach::kAllAtOnce,
-        PatternIndexKind::kHashTable);                        // B1
-    Run(input, MinimizeApproach::kSortedIncremental,
-        PatternIndexKind::kDiscriminationTree);               // D3
-    Run(input, MinimizeApproach::kSortedIncremental,
-        PatternIndexKind::kHashTable);                        // B3
-    Run(input, MinimizeApproach::kIncremental,
-        PatternIndexKind::kDiscriminationTree);               // D2
+    RunSize(input,
+            {{MinimizeApproach::kAllAtOnce,
+              PatternIndexKind::kDiscriminationTree},  // D1
+             {MinimizeApproach::kAllAtOnce,
+              PatternIndexKind::kHashTable},  // B1
+             {MinimizeApproach::kSortedIncremental,
+              PatternIndexKind::kDiscriminationTree},  // D3
+             {MinimizeApproach::kSortedIncremental,
+              PatternIndexKind::kHashTable},  // B3
+             {MinimizeApproach::kIncremental,
+              PatternIndexKind::kDiscriminationTree}});  // D2
     std::printf("\n");
   }
 
@@ -100,10 +135,10 @@ int main() {
               "A1 >100 s at 10k):\n");
   for (size_t n : {2000u, 5000u, 10000u}) {
     PatternSet input = Subset(pool, n, &rng);
-    Run(input, MinimizeApproach::kAllAtOnce,
-        PatternIndexKind::kLinearList);                       // A1
-    Run(input, MinimizeApproach::kIncremental,
-        PatternIndexKind::kPathIndex);                        // C2
+    RunSize(input, {{MinimizeApproach::kAllAtOnce,
+                     PatternIndexKind::kLinearList},  // A1
+                    {MinimizeApproach::kIncremental,
+                     PatternIndexKind::kPathIndex}});  // C2
     std::printf("\n");
   }
   return 0;

@@ -8,6 +8,9 @@
 // random subsets of the pool contain more general patterns that subsume
 // the rest.
 
+#include <algorithm>
+#include <vector>
+
 #include "bench_util.h"
 #include "pattern/algebra.h"
 #include "pattern/minimize.h"
@@ -66,6 +69,9 @@ int main() {
        PatternIndexKind::kDiscriminationTree},
   };
 
+  // Space is deterministic; the time each row also reports is the
+  // median of kRepetitions runs, the methods interleaved within a round.
+  constexpr int kRepetitions = 3;
   std::printf("%-9s", "input");
   for (const Method& m : methods) std::printf("  %12s", m.label);
   std::printf("   (peak index KiB; peak held patterns in parens)\n");
@@ -75,18 +81,30 @@ int main() {
     for (size_t i = 0; i < n; ++i) {
       input.Add(pool[rng.UniformUint64(pool.size())]);
     }
+    constexpr size_t kMethods = sizeof(methods) / sizeof(methods[0]);
+    std::vector<double> millis[kMethods];
+    MinimizeStats stats[kMethods];
+    for (int round = 0; round < kRepetitions; ++round) {
+      for (size_t m = 0; m < kMethods; ++m) {
+        stats[m] = MinimizeStats{};
+        Minimize(input, methods[m].approach, methods[m].kind, &stats[m]);
+        millis[m].push_back(stats[m].millis);
+      }
+    }
     std::printf("%-9zu", n);
-    for (const Method& m : methods) {
-      MinimizeStats stats;
-      Minimize(input, m.approach, m.kind, &stats);
-      std::printf("  %6zu(%4zu)",
-                  stats.peak_memory_bytes / 1024,
-                  stats.peak_index_size);
-      JsonResultLine("fig5_space", m.label, n, stats.millis,
-                     ",\"peak_bytes\":" +
-                         std::to_string(stats.peak_memory_bytes) +
-                         ",\"peak_patterns\":" +
-                         std::to_string(stats.peak_index_size));
+    for (size_t m = 0; m < kMethods; ++m) {
+      std::printf("  %6zu(%4zu)", stats[m].peak_memory_bytes / 1024,
+                  stats[m].peak_index_size);
+      const auto [lo, hi] =
+          std::minmax_element(millis[m].begin(), millis[m].end());
+      char extra[160];
+      std::snprintf(extra, sizeof(extra),
+                    ",\"min_ms\":%.3f,\"max_ms\":%.3f,\"runs\":%d"
+                    ",\"peak_bytes\":%zu,\"peak_patterns\":%zu",
+                    *lo, *hi, kRepetitions, stats[m].peak_memory_bytes,
+                    stats[m].peak_index_size);
+      JsonResultLine("fig5_space", methods[m].label, n, Median(millis[m]),
+                     extra);
     }
     std::printf("\n");
   }

@@ -18,9 +18,8 @@ namespace pcdb {
 /// Tasks are plain std::function<void()> jobs executed FIFO by whichever
 /// worker frees up first; Wait() blocks until every task submitted so far
 /// has finished (a wait group, not a shutdown). The pool runs whole
-/// requests concurrently (the server's eval and loop pools, the
-/// coordinator's scatter legs, the load generator); a single query is
-/// always evaluated serially.
+/// requests concurrently (the front end's worker and loop pools, the
+/// load generator); a single query is always evaluated serially.
 ///
 /// Tasks may fail: a throwing task is caught in the worker, converted to
 /// Status::Internal, and recorded as the pool's first failure; once a

@@ -1,7 +1,7 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
-#include <limits>
+#include <map>
 #include <utility>
 
 #include "common/json.h"
@@ -32,6 +32,10 @@ bool IsShardTransportFailure(const Status& status) {
       return false;
   }
 }
+
+/// Rows per ANSWER_ROWS frame when re-framing merged answers: pcdbd's
+/// default, so a forwarded answer frames exactly as the shard's did.
+const size_t kRowsPerBatch = ServerOptions{}.rows_per_batch;
 
 }  // namespace
 
@@ -77,38 +81,47 @@ Result<std::vector<ShardEndpoint>> ParseEndpoints(const std::string& spec) {
   return endpoints;
 }
 
-struct Coordinator::Handler {
-  Socket sock;
-  FrameReader reader;
-  /// One blocking Client per shard, dialled on first use (index ==
-  /// shard id). Client is not thread-safe, but during a broadcast each
-  /// scatter task touches only its own shard's entry.
-  std::vector<Client> clients;
-  /// Whether shard i's SHARD_INFO was verified against the partition
-  /// map (once per connection, on first dial). uint8_t, not bool:
-  /// concurrent scatter tasks write distinct indices, and vector<bool>
-  /// would pack them into one racy word.
-  std::vector<uint8_t> verified;
-  /// Runs the per-shard legs of one broadcast concurrently; created on
-  /// the first broadcast, reused for the connection's lifetime.
-  std::unique_ptr<ThreadPool> scatter;
+/// Lends one request a set of shard Clients: an idle set when there is
+/// one, a fresh undialled set otherwise, returned to the idle list when
+/// the request is done. Sets are only created while every existing one
+/// is leased, so there are never more sets than front-end workers.
+class Coordinator::ShardLease {
+ public:
+  explicit ShardLease(Coordinator* coordinator) : coordinator_(coordinator) {
+    {
+      MutexLock lock(&coordinator_->shards_mu_);
+      if (!coordinator_->idle_shards_.empty()) {
+        clients_ = std::move(coordinator_->idle_shards_.back());
+        coordinator_->idle_shards_.pop_back();
+      }
+    }
+    clients_.resize(coordinator_->options_.shards.size());
+  }
+  ~ShardLease() {
+    MutexLock lock(&coordinator_->shards_mu_);
+    coordinator_->idle_shards_.push_back(std::move(clients_));
+  }
+  ShardLease(const ShardLease&) = delete;
+  ShardLease& operator=(const ShardLease&) = delete;
+
+  Client& operator[](size_t i) { return clients_[i]; }
+
+ private:
+  Coordinator* coordinator_;
+  std::vector<Client> clients_;
 };
 
 Coordinator::Coordinator(CoordinatorOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), front_end_(serve_, this, &metrics_) {
+  serve_.host = options_.host;
+  serve_.port = options_.port;
   partition_.num_shards =
       static_cast<uint32_t>(std::max<size_t>(1, options_.shards.size()));
   partition_.hashed = options_.hashed_tables;
-  c_requests_ = metrics_.GetCounter(kMetricRequestsTotal);
-  c_errors_ = metrics_.GetCounter(kMetricErrorsTotal);
   c_shard_errors_ = metrics_.GetCounter(kMetricShardErrorsTotal);
   c_writes_deduped_ = metrics_.GetCounter(kMetricWritesDedupedTotal);
-  c_protocol_errors_ = metrics_.GetCounter(kMetricProtocolErrors);
-  c_connections_ = metrics_.GetCounter(kMetricConnectionsTotal);
   c_fleet_stats_ = metrics_.GetCounter(kMetricFleetStatsTotal);
   c_profile_merges_ = metrics_.GetCounter(kMetricProfileMergesTotal);
-  h_latency_ = metrics_.GetHistogram(kMetricRequestLatency);
-  g_writer_states_ = metrics_.GetGauge(kMetricWriterStates);
   // Per-shard latency histograms, named from the registry prefix so
   // dashboards can discover them without a schema change per fleet
   // size.
@@ -121,230 +134,70 @@ Coordinator::Coordinator(CoordinatorOptions options)
 Coordinator::~Coordinator() { Stop(); }
 
 Status Coordinator::Start() {
-  {
-    MutexLock lock(&state_mu_);
-    if (started_) return Status::InvalidArgument("coordinator already started");
-  }
   if (options_.shards.empty()) {
     return Status::InvalidArgument("coordinator needs at least one shard");
   }
-  PCDB_ASSIGN_OR_RETURN(listener_,
-                        Listener::BindAndListen(options_.host, options_.port));
-  stop_requested_.store(false, std::memory_order_release);
-  accept_pool_ = std::make_unique<ThreadPool>(2);
-  conn_pool_ = std::make_unique<ThreadPool>(
-      std::max<size_t>(2, options_.worker_threads));
-  {
-    MutexLock lock(&state_mu_);
-    started_ = true;
-  }
-  accept_pool_->Submit([this] { RunAcceptLoop(); });
-  return Status::OK();
+  return front_end_.Start();
 }
 
 void Coordinator::Stop() {
-  {
-    MutexLock lock(&state_mu_);
-    if (!started_) return;
-  }
-  stop_requested_.store(true, std::memory_order_release);
-  if (accept_pool_ != nullptr) {
-    accept_pool_->Wait();
-    Status accept_status = accept_pool_->ConsumeStatus();
-    if (!accept_status.ok()) c_errors_->Increment();
-  }
-  // Release the front-end port before draining the workers, so a
-  // successor can bind while slow connections finish.
-  listener_ = Listener();
-  if (conn_pool_ != nullptr) {
-    conn_pool_->Wait();
-    Status conn_status = conn_pool_->ConsumeStatus();
-    if (!conn_status.ok()) c_errors_->Increment();
-  }
-  MutexLock lock(&state_mu_);
-  started_ = false;
+  front_end_.Stop();
+  MutexLock lock(&shards_mu_);
+  idle_shards_.clear();
 }
 
-void Coordinator::RunAcceptLoop() {
-  size_t consecutive_poll_errors = 0;
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    std::vector<PollItem> items;
-    items.push_back(PollItem{listener_.fd(), true, false});
-    Result<int> polled = Poll(&items, options_.poll_millis);
-    if (!polled.ok()) {
-      // Poll returns immediately on failure; without a cap a persistent
-      // EBADF would spin this worker. Give up loudly after a streak.
-      if (++consecutive_poll_errors >= 64) {
-        LogError("coordinator accept loop stopping: persistent poll failure")
-            .Str("status", polled.status().ToString());
-        return;
-      }
-      continue;
-    }
-    consecutive_poll_errors = 0;
-    if (!items[0].readable) continue;
-    for (;;) {
-      Result<Listener::AcceptResult> accepted = listener_.Accept();
-      if (!accepted.ok() || accepted->would_block) break;
-      // std::function needs copyable captures; Socket is move-only.
-      auto sock = std::make_shared<Socket>(std::move(accepted->socket));
-      conn_pool_->Submit([this, sock]() mutable {
-        // A connection fault must not trip the pool's first-error
-        // latch: that would stop serving every other connection.
-        try {
-          RunConnection(std::move(*sock));
-        } catch (...) {
-          c_errors_->Increment();
-        }
-      });
-    }
-  }
+void Coordinator::RequestDrain() { front_end_.RequestDrain(); }
+
+void Coordinator::Drain() {
+  if (front_end_.Drain()) Stop();
 }
 
-void Coordinator::RunConnection(Socket sock) {
-  c_connections_->Increment();
-  Handler handler;
-  handler.sock = std::move(sock);
-  // Bounded blocking reads, so the worker notices Stop() between
-  // frames.
-  (void)handler.sock.SetRecvTimeoutMillis(options_.client_recv_timeout_millis);
-  handler.clients.resize(options_.shards.size());
-  handler.verified.assign(options_.shards.size(), 0);
-  char buf[16384];
-  bool closing = false;
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    Result<IoResult> received = handler.sock.Recv(buf, sizeof(buf));
-    if (!received.ok()) {
-      // A timed-out read is just the stop-flag heartbeat; anything else
-      // is a dead connection.
-      if (received.status().code() == StatusCode::kTimeout) continue;
-      return;
-    }
-    if (received->eof) {
-      closing = true;
-    } else {
-      handler.reader.Feed(buf, received->bytes);
-    }
-    for (;;) {
-      Frame frame;
-      Result<bool> decoded = handler.reader.Next(&frame);
-      if (!decoded.ok()) {
-        // Malformed framing: report once and close, like pcdbd.
-        c_protocol_errors_->Increment();
-        std::string out;
-        AppendFrame(&out, FrameType::kError, 0,
-                    EncodeErrorPayload(decoded.status()));
-        (void)handler.sock.SendAll(out.data(), out.size());
-        return;
-      }
-      if (!*decoded) break;
-      if (!HandleFrame(&handler, frame)) return;
-    }
-    if (closing) return;
+Result<Client*> Coordinator::ShardClient(ShardLease* lease, size_t i) {
+  Client& client = (*lease)[i];
+  if (client.connected()) return &client;
+  ClientOptions copts;
+  copts.recv_timeout_millis = options_.shard_recv_timeout_millis;
+  PCDB_ASSIGN_OR_RETURN(client, Client::Connect(options_.shards[i].host,
+                                                options_.shards[i].port, copts));
+  // A fresh connection: the shard must agree it is shard i of
+  // num_shards. A mis-wired fleet (wrong --shard-id, a pcdbd from
+  // another deployment) would otherwise produce answers that are
+  // silently missing or double-counting rows. The span's rtt_micros arg
+  // doubles as trace_merge.py's clock-skew bound for this shard's dump.
+  PCDB_TRACE_SPAN(handshake_span, kSpanDistHandshake);
+  handshake_span.Arg("shard", static_cast<uint64_t>(i));
+  WallTimer rtt;
+  Result<ShardInfo> info = client.GetShardInfo();
+  handshake_span.Arg("rtt_micros", static_cast<uint64_t>(rtt.ElapsedMicros()));
+  if (info.ok() && (info->shard_id != static_cast<uint32_t>(i) ||
+                    info->num_shards != partition_.num_shards)) {
+    info = Status::Internal(
+        "shard endpoint " + std::to_string(i) + " reports shard " +
+        std::to_string(info->shard_id) + " of " +
+        std::to_string(info->num_shards) + "; expected shard " +
+        std::to_string(i) + " of " + std::to_string(partition_.num_shards));
   }
-}
-
-bool Coordinator::HandleFrame(Handler* handler, const Frame& frame) {
-  c_requests_->Increment();
-  WallTimer timer;
-  switch (frame.type) {
-    case FrameType::kPing: {
-      std::string out;
-      AppendFrame(&out, FrameType::kPong, frame.request_id, "");
-      return handler->sock.SendAll(out.data(), out.size()).ok();
-    }
-    case FrameType::kStats:
-      HandleStats(handler, frame.request_id);
-      return true;
-    case FrameType::kCancel:
-      // The coordinator answers queries synchronously per connection,
-      // so by the time a CANCEL frame is read the target query has
-      // already been answered (or is on a shard, where the shard's own
-      // deadline governs it). Unknown ids are a silent no-op per
-      // protocol, so this is too.
-      return true;
-    case FrameType::kQuery: {
-      Result<QueryRequest> request = DecodeQueryPayload(frame.payload);
-      if (!request.ok()) {
-        c_protocol_errors_->Increment();
-        SendError(handler, frame.request_id, request.status());
-        return true;
-      }
-      HandleQuery(handler, frame.request_id, *request);
-      h_latency_->RecordMillis(timer.ElapsedMillis());
-      return true;
-    }
-    case FrameType::kIngest: {
-      Result<IngestRequest> request = DecodeIngestPayload(frame.payload);
-      if (!request.ok()) {
-        c_protocol_errors_->Increment();
-        SendError(handler, frame.request_id, request.status());
-        return true;
-      }
-      HandleWrite(handler, frame.request_id, /*is_punctuate=*/false,
-                  std::move(*request), PunctuateRequest{});
-      return true;
-    }
-    case FrameType::kPunctuate: {
-      Result<PunctuateRequest> request = DecodePunctuatePayload(frame.payload);
-      if (!request.ok()) {
-        c_protocol_errors_->Increment();
-        SendError(handler, frame.request_id, request.status());
-        return true;
-      }
-      HandleWrite(handler, frame.request_id, /*is_punctuate=*/true,
-                  IngestRequest{}, std::move(*request));
-      return true;
-    }
-    case FrameType::kCheckpoint:
-      HandleCheckpoint(handler, frame.request_id);
-      return true;
-    case FrameType::kShardInfo:
-      HandleShardInfo(handler, frame.request_id);
-      return true;
-    default:
-      c_protocol_errors_->Increment();
-      SendError(handler, frame.request_id,
-                Status::InvalidArgument("unexpected frame type from client"));
-      return false;
-  }
-}
-
-Result<Client*> Coordinator::ShardClient(Handler* handler, size_t i) {
-  Client& client = handler->clients[i];
-  if (!client.connected()) {
-    ClientOptions copts;
-    copts.recv_timeout_millis = options_.shard_recv_timeout_millis;
-    PCDB_ASSIGN_OR_RETURN(
-        client, Client::Connect(options_.shards[i].host,
-                                options_.shards[i].port, copts));
-    handler->verified[i] = 0;
-  }
-  if (!handler->verified[i]) {
-    // First contact on this connection: the shard must agree it is
-    // shard i of num_shards. A mis-wired fleet (wrong --shard-id, a
-    // pcdbd from another deployment) would otherwise produce answers
-    // that are silently missing or double-counting rows. The span's
-    // rtt_micros arg doubles as trace_merge.py's clock-skew bound for
-    // this shard's dump.
-    PCDB_TRACE_SPAN(handshake_span, kSpanDistHandshake);
-    handshake_span.Arg("shard", static_cast<uint64_t>(i));
-    WallTimer rtt;
-    PCDB_ASSIGN_OR_RETURN(ShardInfo info, client.GetShardInfo());
-    handshake_span.Arg("rtt_micros",
-                       static_cast<uint64_t>(rtt.ElapsedMicros()));
-    if (info.shard_id != static_cast<uint32_t>(i) ||
-        info.num_shards != partition_.num_shards) {
-      return Status::Internal(
-          "shard endpoint " + std::to_string(i) + " reports shard " +
-          std::to_string(info.shard_id) + " of " +
-          std::to_string(info.num_shards) + "; expected shard " +
-          std::to_string(i) + " of " +
-          std::to_string(partition_.num_shards));
-    }
-    handler->verified[i] = 1;
+  if (!info.ok()) {
+    client.Close();  // unverified: never used
+    return info.status();
   }
   return &client;
+}
+
+Status Coordinator::LegFailed(ShardLease* lease, size_t i,
+                              const Status& status) {
+  c_shard_errors_->Increment();
+  // The connection may be mid-answer or dead; either way its stream can
+  // no longer be trusted, so the next request on this set redials.
+  (*lease)[i].Close();
+  if (IsShardTransportFailure(status)) {
+    // The shard is likely down or restarted, so the idle sets'
+    // connections to it are dead too: close them now rather than let
+    // each fail a later request.
+    MutexLock lock(&shards_mu_);
+    for (std::vector<Client>& idle : idle_shards_) idle[i].Close();
+  }
+  return ShardStatus(i, status);
 }
 
 Status Coordinator::ShardStatus(size_t shard, const Status& status) {
@@ -355,49 +208,30 @@ Status Coordinator::ShardStatus(size_t shard, const Status& status) {
   return status;
 }
 
-void Coordinator::SendError(Handler* handler, uint64_t request_id,
-                            const Status& status) {
-  c_errors_->Increment();
-  std::string out;
-  AppendFrame(&out, FrameType::kError, request_id,
-              EncodeErrorPayload(status));
-  (void)handler->sock.SendAll(out.data(), out.size());
+Reply Coordinator::AnswerReply(const AnnotatedTable& answer,
+                               const AnswerDone& done,
+                               std::string profile_json) {
+  auto encoded =
+      std::make_shared<EncodedAnswer>(EncodeAnswer(answer, kRowsPerBatch));
+  Reply reply;
+  reply.status = CheckEncodedFrameSizes(*encoded);
+  if (!reply.status.ok()) return reply;
+  reply.answer = std::move(encoded);
+  reply.done = done;
+  reply.profile_json = std::move(profile_json);
+  return reply;
 }
 
-void Coordinator::SendAnswer(Handler* handler, uint64_t request_id,
-                             const AnnotatedTable& answer,
-                             const AnswerDone& done,
-                             const std::string& profile_json) {
-  EncodedAnswer encoded = EncodeAnswer(answer, options_.rows_per_batch);
-  Status fits = CheckEncodedFrameSizes(encoded);
-  if (!fits.ok()) {
-    SendError(handler, request_id, fits);
-    return;
-  }
-  std::string out;
-  AppendFrame(&out, FrameType::kAnswerSchema, request_id, encoded.schema);
-  for (const std::string& rows : encoded.row_batches) {
-    AppendFrame(&out, FrameType::kAnswerRows, request_id, rows);
-  }
-  AppendFrame(&out, FrameType::kAnswerPatterns, request_id, encoded.patterns);
-  if (!profile_json.empty()) {
-    AppendFrame(&out, FrameType::kAnswerProfile, request_id, profile_json);
-  }
-  AppendFrame(&out, FrameType::kAnswerDone, request_id,
-              EncodeDonePayload(done));
-  (void)handler->sock.SendAll(out.data(), out.size());
-}
-
-void Coordinator::HandleQuery(Handler* handler, uint64_t request_id,
-                              const QueryRequest& request) {
+Reply Coordinator::Query(const QueryRequest& request,
+                         const std::shared_ptr<CancellationToken>& /*token*/,
+                         uint64_t /*queue_micros*/) {
   PCDB_TRACE_SPAN(span, kSpanDistQuery);
   const QueryRouting routing = AnalyzeQuery(
       partition_, request.sql,
       (request.flags & QueryRequest::kFlagInstanceAware) != 0,
       (request.flags & QueryRequest::kFlagZombies) != 0);
   if (routing.route == QueryRoute::kUnsupported) {
-    SendError(handler, request_id, Status::Unimplemented(routing.reason));
-    return;
+    return Reply::Error(Status::Unimplemented(routing.reason));
   }
   ClientQueryOptions qopts;
   qopts.deadline_millis = request.deadline_millis;
@@ -409,30 +243,23 @@ void Coordinator::HandleQuery(Handler* handler, uint64_t request_id,
   qopts.zombies = (request.flags & QueryRequest::kFlagZombies) != 0;
   qopts.profile = (request.flags & QueryRequest::kFlagProfile) != 0;
   qopts.tenant = request.tenant;
+  ShardLease lease(this);
 
   if (routing.route == QueryRoute::kSingleShard) {
     // Forward verbatim: one shard has everything the query touches, so
     // its answer (and its errors, including parse errors) pass through
     // exactly as a non-sharded pcdbd would produce them.
-    Result<Client*> client = ShardClient(handler, routing.shard);
-    if (!client.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id,
-                ShardStatus(routing.shard, client.status()));
-      return;
-    }
+    const size_t i = routing.shard;
     WallTimer shard_timer;
-    Result<ClientAnswer> answer = (*client)->Query(request.sql, qopts);
-    h_shard_latency_[routing.shard]->RecordMillis(shard_timer.ElapsedMillis());
+    Result<Client*> client = ShardClient(&lease, i);
+    Result<ClientAnswer> answer =
+        client.ok() ? (*client)->Query(request.sql, qopts)
+                    : Result<ClientAnswer>(client.status());
+    h_shard_latency_[i]->RecordMillis(shard_timer.ElapsedMillis());
     if (!answer.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id,
-                ShardStatus(routing.shard, answer.status()));
-      return;
+      return Reply::Error(LegFailed(&lease, i, answer.status()));
     }
-    SendAnswer(handler, request_id, answer->table, answer->done,
-               answer->profile);
-    return;
+    return AnswerReply(answer->table, answer->done, answer->profile);
   }
 
   // Broadcast: every shard evaluates (and minimizes) its slice; the
@@ -440,80 +267,61 @@ void Coordinator::HandleQuery(Handler* handler, uint64_t request_id,
   // and every operator distributes over a union on the single
   // partitioned side (docs/DISTRIBUTED.md §4).
   const size_t n = options_.shards.size();
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<ClientAnswer> answers(n);
+  std::vector<Result<ClientAnswer>> answers;
   std::vector<double> shard_millis(n, 0.0);
   {
     PCDB_TRACE_SPAN(scatter_span, kSpanDistScatter);
-    if (handler->scatter == nullptr) {
-      handler->scatter = std::make_unique<ThreadPool>(n);
+    WallTimer scatter_timer;
+    // Every QUERY goes out before any answer is read, so the shards
+    // evaluate their slices concurrently.
+    std::vector<Result<uint64_t>> sent;
+    for (size_t i = 0; i < n; ++i) {
+      Result<Client*> client = ShardClient(&lease, i);
+      sent.push_back(client.ok() ? (*client)->SendQuery(request.sql, qopts)
+                                 : Result<uint64_t>(client.status()));
     }
     for (size_t i = 0; i < n; ++i) {
-      handler->scatter->Submit([this, handler, i, &request, &qopts,
-                                &statuses, &answers, &shard_millis] {
-        WallTimer shard_timer;
-        Result<Client*> client = ShardClient(handler, i);
-        if (!client.ok()) {
-          statuses[i] = ShardStatus(i, client.status());
-          return;
-        }
-        Result<ClientAnswer> answer = (*client)->Query(request.sql, qopts);
-        shard_millis[i] = shard_timer.ElapsedMillis();
-        if (!answer.ok()) {
-          statuses[i] = ShardStatus(i, answer.status());
-        } else {
-          answers[i] = std::move(*answer);
-        }
-      });
-    }
-    handler->scatter->Wait();
-    Status pool_status = handler->scatter->ConsumeStatus();
-    if (!pool_status.ok()) {
-      SendError(handler, request_id,
-                Status::Internal("scatter worker fault: " +
-                                 pool_status.message()));
-      return;
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (shard_millis[i] > 0) {
+      answers.push_back(sent[i].ok() ? lease[i].ReadAnswer(*sent[i])
+                                     : Result<ClientAnswer>(sent[i].status()));
+      shard_millis[i] = scatter_timer.ElapsedMillis();
       h_shard_latency_[i]->RecordMillis(shard_millis[i]);
     }
   }
   // Any missing slice makes the union unsound to serve: a partial
   // answer could claim completeness for data the down shard holds.
-  // Degrade loudly instead (docs/DISTRIBUTED.md §6).
+  // Degrade loudly instead (docs/DISTRIBUTED.md §6), reporting the
+  // lowest failed shard.
+  Status failed;
   for (size_t i = 0; i < n; ++i) {
-    if (!statuses[i].ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, statuses[i]);
-      return;
-    }
+    if (answers[i].ok()) continue;
+    Status status = LegFailed(&lease, i, answers[i].status());
+    if (failed.ok()) failed = std::move(status);
   }
+  if (!failed.ok()) return Reply::Error(std::move(failed));
 
   PCDB_TRACE_SPAN(merge_span, kSpanDistMerge);
   WallTimer merge_timer;
   AnnotatedTable merged;
-  merged.data = Table(answers[0].table.data.schema());
+  merged.data = Table(answers[0]->table.data.schema());
   size_t total_rows = 0;
-  for (const ClientAnswer& answer : answers) {
-    total_rows += answer.table.data.num_rows();
+  for (const Result<ClientAnswer>& answer : answers) {
+    total_rows += answer->table.data.num_rows();
   }
   merged.data.Reserve(total_rows);
   PatternSet unioned;
   AnswerDone done;
   done.cache_hit = true;
-  for (ClientAnswer& answer : answers) {
-    for (const Tuple& row : answer.table.data.rows()) {
+  for (const Result<ClientAnswer>& answer : answers) {
+    for (const Tuple& row : answer->table.data.rows()) {
       merged.data.AppendUnchecked(row);
     }
-    for (const Pattern& p : answer.table.patterns) {
+    for (const Pattern& p : answer->table.patterns) {
       unioned.Add(p);
     }
-    merged.degraded = merged.degraded || answer.table.degraded;
-    done.cache_hit = done.cache_hit && answer.done.cache_hit;
-    done.data_millis += answer.done.data_millis;
-    done.pattern_millis += answer.done.pattern_millis;
+    merged.degraded = merged.degraded || answer->table.degraded;
+    done.cache_hit = done.cache_hit && answer->done.cache_hit;
+    done.data_millis += answer->done.data_millis;
+    done.pattern_millis += answer->done.pattern_millis;
   }
   // Canonical order: the merged answer must not depend on shard count
   // or arrival order (the N-vs-1 differential contract).
@@ -544,7 +352,7 @@ void Coordinator::HandleQuery(Handler* handler, uint64_t request_id,
       }
       shard_list += std::to_string(shard_millis[i]);
       per_shard +=
-          answers[i].profile.empty() ? "null" : answers[i].profile;
+          answers[i]->profile.empty() ? "null" : answers[i]->profile;
       fleet_micros += shard_millis[i] * 1000.0;
     }
     profile_json = "{\"distributed\":true,\"route\":\"broadcast\",\"shards\":" +
@@ -556,49 +364,21 @@ void Coordinator::HandleQuery(Handler* handler, uint64_t request_id,
                    ",\"per_shard\":[" + per_shard + "]}";
     c_profile_merges_->Increment();
   }
-  SendAnswer(handler, request_id, merged, done, profile_json);
+  return AnswerReply(merged, done, std::move(profile_json));
 }
 
-void Coordinator::HandleWrite(Handler* handler, uint64_t request_id,
-                              bool is_punctuate, IngestRequest ingest,
-                              PunctuateRequest punctuate) {
-  PCDB_TRACE_SPAN(span, kSpanDistWrite);
-  const std::string& tenant = is_punctuate ? punctuate.tenant : ingest.tenant;
-  const std::string& table = is_punctuate ? punctuate.table : ingest.table;
-  const uint64_t writer_id =
-      is_punctuate ? punctuate.writer_id : ingest.writer_id;
-  const uint64_t seq = is_punctuate ? punctuate.seq : ingest.seq;
-  const bool sequenced = writer_id != 0 && seq != 0;
-  if (sequenced) {
-    // Front-side dedup, mirroring Server::IsDuplicateWrite: a client
-    // retrying against the coordinator must not re-broadcast a write
-    // the fleet fully applied.
-    MutexLock lock(&writers_mu_);
-    auto tenant_it = writers_.find(tenant);
-    if (tenant_it != writers_.end()) {
-      auto writer_it = tenant_it->second.find(writer_id);
-      if (writer_it != tenant_it->second.end() &&
-          seq <= writer_it->second.last_seq) {
-        c_writes_deduped_->Increment();
-        writer_it->second.last_touch = ++writer_tick_;
-        IngestResult ack;
-        if (seq == writer_it->second.last_seq) {
-          ack = writer_it->second.ack;
-        }
-        ack.seq = seq;
-        ack.duplicate = true;
-        std::string out;
-        AppendFrame(&out, FrameType::kIngestResult, request_id,
-                    EncodeIngestResultPayload(ack));
-        (void)handler->sock.SendAll(out.data(), out.size());
-        return;
-      }
-    }
-  }
+void Coordinator::Write(WriteRequest request, ReplyCallback done) {
+  done(request.is_checkpoint ? Checkpoint() : BroadcastWrite(request));
+}
 
+Reply Coordinator::BroadcastWrite(const WriteRequest& request) {
+  PCDB_TRACE_SPAN(span, kSpanDistWrite);
+  const bool is_punctuate = request.is_punctuate;
+  const std::string& table =
+      is_punctuate ? request.punctuate.table : request.ingest.table;
   const bool hashed = partition_.IsHashed(table);
   if (hashed && !is_punctuate && partition_.num_shards > 1 &&
-      ingest.policy == IngestRequest::kPolicyRejectRecord) {
+      request.ingest.policy == IngestRequest::kPolicyRejectRecord) {
     // Under reject policy the row's hash owner decides accept/reject
     // from its local patterns only, while the promise the row violates
     // may live on a different signature-owner shard — the fleet could
@@ -606,60 +386,54 @@ void Coordinator::HandleWrite(Handler* handler, uint64_t request_id,
     // verdict no single-process server would produce. Refuse loudly
     // (docs/DISTRIBUTED.md §5); retract policy stays exact because
     // every shard withdraws the promises it owns.
-    SendError(handler, request_id,
-              Status::Unimplemented(
-                  "ingest into hash-partitioned table '" + table +
-                  "' under the reject policy is not supported in "
-                  "distributed mode (the violated promise may live on a "
-                  "different shard than the row); use the retract "
-                  "policy"));
-    return;
+    return Reply::Error(Status::Unimplemented(
+        "ingest into hash-partitioned table '" + table +
+        "' under the reject policy is not supported in distributed mode "
+        "(the violated promise may live on a different shard than the "
+        "row); use the retract policy"));
   }
   ClientWriteOptions wopts;
-  wopts.tenant = tenant;
-  if (!is_punctuate) wopts.policy = ingest.policy;
-  if (sequenced) {
-    // Pin the front identity onto every shard leg: a re-broadcast
-    // after a partial failure carries the same (writer_id, seq) and
-    // already-applied shards dedup instead of double-applying.
-    wopts.writer_id = writer_id;
-    wopts.seq = seq;
-  }
+  wopts.tenant = request.tenant();
+  if (!is_punctuate) wopts.policy = request.ingest.policy;
+  // Pin the client's identity onto every shard leg: a retry carries the
+  // same (writer_id, seq), so the shards that already applied it dedup
+  // (their WAL-persisted writer state) instead of double-applying, and
+  // the retry converges exactly once. Unsequenced writes, (0, 0), take
+  // each shard Client's own identity.
+  wopts.writer_id = request.writer_id();
+  wopts.seq = request.seq();
 
   // Every write broadcasts. Replicated tables apply identically
   // everywhere; hashed tables rely on shard-side filtering — the owner
   // stores each row while the shards owning the violated statement
   // signatures retract, which is what keeps cross-shard retraction
   // exact (docs/DISTRIBUTED.md §5).
-  const size_t n = options_.shards.size();
+  ShardLease lease(this);
   IngestResult total;
-  for (size_t i = 0; i < n; ++i) {
-    Result<Client*> client = ShardClient(handler, i);
-    if (!client.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, client.status()));
-      return;
-    }
+  bool all_duplicate = true;
+  for (size_t i = 0; i < options_.shards.size(); ++i) {
     WallTimer shard_timer;
+    Result<Client*> client = ShardClient(&lease, i);
     Result<IngestResult> ack =
-        is_punctuate
-            ? (*client)->Punctuate(table, punctuate.patterns, wopts)
-            : (*client)->Ingest(table, ingest.rows, wopts);
+        !client.ok() ? Result<IngestResult>(client.status())
+        : is_punctuate
+            ? (*client)->Punctuate(table, request.punctuate.patterns, wopts)
+            : (*client)->Ingest(table, request.ingest.rows, wopts);
     h_shard_latency_[i]->RecordMillis(shard_timer.ElapsedMillis());
     if (!ack.ok()) {
       // Partial fan-outs are reported, never hidden: the client sees an
       // error and retries with the same sequence; shard-side dedup
       // makes the re-broadcast converge.
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, ack.status()));
-      return;
+      return Reply::Error(LegFailed(&lease, i, ack.status()));
     }
+    all_duplicate = all_duplicate && ack->duplicate;
     if (hashed) {
       // Each row is stored by one owner and each statement lives on one
       // shard, so summing the per-shard deltas gives exact fleet totals
       // — except `violations`, which counts per-shard events: one row
       // violating promises on both its hash owner and a signature-owner
-      // shard counts once on each (docs/DISTRIBUTED.md §5).
+      // shard counts once on each (docs/DISTRIBUTED.md §5). A retry's
+      // legs re-serve their stored counters, so it sums the same way.
       total.rows_ingested += ack->rows_ingested;
       total.rows_rejected += ack->rows_rejected;
       total.punctuations += ack->punctuations;
@@ -671,49 +445,12 @@ void Coordinator::HandleWrite(Handler* handler, uint64_t request_id,
       total = *ack;
     }
   }
-  total.seq = seq;
-  total.duplicate = false;
-  if (sequenced) {
-    MutexLock lock(&writers_mu_);
-    auto [writer_it, inserted] = writers_[tenant].try_emplace(writer_id);
-    if (inserted) ++writer_count_;
-    WriterState& state = writer_it->second;
-    state.last_touch = ++writer_tick_;
-    if (seq > state.last_seq) {
-      state.last_seq = seq;
-      state.ack = total;
-    }
-    if (inserted) EvictStaleWritersLocked();
-    g_writer_states_->Set(static_cast<int64_t>(writer_count_));
-  }
-  std::string out;
-  AppendFrame(&out, FrameType::kIngestResult, request_id,
-              EncodeIngestResultPayload(total));
-  (void)handler->sock.SendAll(out.data(), out.size());
-}
-
-void Coordinator::EvictStaleWritersLocked() {
-  // Linear scan per eviction. Evictions only happen when a NEW writer
-  // identity arrives with the map at capacity; a steady fleet of
-  // long-lived writers never pays this, and the cap bounds the scan.
-  while (writer_count_ > options_.max_writer_states && writer_count_ > 0) {
-    auto victim_tenant = writers_.end();
-    std::map<uint64_t, WriterState>::iterator victim;
-    uint64_t oldest = std::numeric_limits<uint64_t>::max();
-    for (auto t = writers_.begin(); t != writers_.end(); ++t) {
-      for (auto w = t->second.begin(); w != t->second.end(); ++w) {
-        if (w->second.last_touch < oldest) {
-          oldest = w->second.last_touch;
-          victim_tenant = t;
-          victim = w;
-        }
-      }
-    }
-    if (victim_tenant == writers_.end()) break;
-    victim_tenant->second.erase(victim);
-    if (victim_tenant->second.empty()) writers_.erase(victim_tenant);
-    --writer_count_;
-  }
+  // Applied nowhere this time: every shard had already applied it.
+  if (all_duplicate) c_writes_deduped_->Increment();
+  total.seq = request.seq();
+  total.duplicate = all_duplicate;
+  return Reply::Single(FrameType::kIngestResult,
+                       EncodeIngestResultPayload(total));
 }
 
 namespace {
@@ -765,33 +502,22 @@ Status MergeShardStats(const JsonValue& snapshot, MetricsRegistry* fleet) {
 
 }  // namespace
 
-void Coordinator::HandleStats(Handler* handler, uint64_t request_id) {
+Reply Coordinator::StatsReply() {
   MetricsRegistry fleet;
   std::vector<std::string> shard_jsons(options_.shards.size());
+  ShardLease lease(this);
   for (size_t i = 0; i < options_.shards.size(); ++i) {
-    Result<Client*> client = ShardClient(handler, i);
-    if (!client.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, client.status()));
-      return;
+    Result<Client*> client = ShardClient(&lease, i);
+    Result<std::string> stats = client.ok()
+                                    ? (*client)->Stats()
+                                    : Result<std::string>(client.status());
+    Status merged = stats.status();
+    if (merged.ok()) {
+      Result<JsonValue> parsed = ParseJson(*stats);
+      merged = parsed.ok() ? MergeShardStats(*parsed, &fleet) : parsed.status();
     }
-    Result<std::string> stats = (*client)->Stats();
-    if (!stats.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, stats.status()));
-      return;
-    }
-    Result<JsonValue> parsed = ParseJson(*stats);
-    if (!parsed.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, parsed.status()));
-      return;
-    }
-    Status merged = MergeShardStats(*parsed, &fleet);
     if (!merged.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, merged));
-      return;
+      return Reply::Error(LegFailed(&lease, i, merged));
     }
     shard_jsons[i] = *std::move(stats);
   }
@@ -799,35 +525,28 @@ void Coordinator::HandleStats(Handler* handler, uint64_t request_id) {
   // "fleet" leads so a client that only reads the first requests_total
   // sees the fleet-wide number; per-shard snapshots ride along verbatim
   // for drill-down, and the coordinator's own registry (front-end
-  // latency, dedup state, this very counter) keeps its own key.
+  // requests and latency, this very counter) keeps its own key.
   std::string payload = "{\"fleet\":" + fleet.ToJson() + ",\"shards\":[";
   for (size_t i = 0; i < shard_jsons.size(); ++i) {
     if (i > 0) payload += ",";
     payload += shard_jsons[i];
   }
   payload += "],\"coordinator\":" + metrics_.ToJson() + "}";
-  std::string out;
-  AppendFrame(&out, FrameType::kStatsResult, request_id, payload);
-  (void)handler->sock.SendAll(out.data(), out.size());
+  return Reply::Single(FrameType::kStatsResult, std::move(payload));
 }
 
-void Coordinator::HandleShardInfo(Handler* handler, uint64_t request_id) {
+Reply Coordinator::ShardInfoReply() {
   ShardInfo merged;
   merged.shard_id = ShardInfo::kCoordinatorShardId;
   merged.num_shards = partition_.num_shards;
   std::map<std::string, ShardTableInfo> tables;
+  ShardLease lease(this);
   for (size_t i = 0; i < options_.shards.size(); ++i) {
-    Result<Client*> client = ShardClient(handler, i);
-    if (!client.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, client.status()));
-      return;
-    }
-    Result<ShardInfo> info = (*client)->GetShardInfo();
+    Result<Client*> client = ShardClient(&lease, i);
+    Result<ShardInfo> info = client.ok() ? (*client)->GetShardInfo()
+                                         : Result<ShardInfo>(client.status());
     if (!info.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, info.status()));
-      return;
+      return Reply::Error(LegFailed(&lease, i, info.status()));
     }
     for (ShardTableInfo& table_info : info->tables) {
       ShardTableInfo& entry = tables[table_info.table];
@@ -840,36 +559,28 @@ void Coordinator::HandleShardInfo(Handler* handler, uint64_t request_id) {
   }
   merged.tables.reserve(tables.size());
   for (auto& [name, entry] : tables) merged.tables.push_back(entry);
-  std::string out;
-  AppendFrame(&out, FrameType::kShardInfoResult, request_id,
-              EncodeShardInfoPayload(merged));
-  (void)handler->sock.SendAll(out.data(), out.size());
+  return Reply::Single(FrameType::kShardInfoResult,
+                       EncodeShardInfoPayload(merged));
 }
 
-void Coordinator::HandleCheckpoint(Handler* handler, uint64_t request_id) {
+Reply Coordinator::Checkpoint() {
   CheckpointResult merged;
+  ShardLease lease(this);
   for (size_t i = 0; i < options_.shards.size(); ++i) {
-    Result<Client*> client = ShardClient(handler, i);
-    if (!client.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, client.status()));
-      return;
-    }
-    Result<CheckpointResult> ckpt = (*client)->Checkpoint();
+    Result<Client*> client = ShardClient(&lease, i);
+    Result<CheckpointResult> ckpt =
+        client.ok() ? (*client)->Checkpoint()
+                    : Result<CheckpointResult>(client.status());
     if (!ckpt.ok()) {
-      c_shard_errors_->Increment();
-      SendError(handler, request_id, ShardStatus(i, ckpt.status()));
-      return;
+      return Reply::Error(LegFailed(&lease, i, ckpt.status()));
     }
     // Per-shard LSNs are independent sequences; the max is the most
     // informative single number, the removal count is a true sum.
     merged.lsn = std::max(merged.lsn, ckpt->lsn);
     merged.wal_segments_removed += ckpt->wal_segments_removed;
   }
-  std::string out;
-  AppendFrame(&out, FrameType::kCheckpointResult, request_id,
-              EncodeCheckpointResultPayload(merged));
-  (void)handler->sock.SendAll(out.data(), out.size());
+  return Reply::Single(FrameType::kCheckpointResult,
+                       EncodeCheckpointResultPayload(merged));
 }
 
 }  // namespace pcdb

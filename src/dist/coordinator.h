@@ -1,19 +1,17 @@
 #ifndef PCDB_DIST_COORDINATOR_H_
 #define PCDB_DIST_COORDINATOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "dist/partition.h"
 #include "obs/metrics.h"
 #include "server/client.h"
-#include "server/net_socket.h"
+#include "server/front_end.h"
 #include "server/protocol.h"
 
 /// \file
@@ -26,14 +24,16 @@
 /// of an answer (docs/DISTRIBUTED.md §6: degrade loudly, never serve a
 /// silently wrong completeness verdict).
 ///
-/// Threading model: one accept task plus a fixed pool of connection
-/// workers (thread-per-connection up to `worker_threads`; surplus
-/// accepted connections wait for a free worker). Each connection
-/// handler owns one blocking Client per shard — Client is not
-/// thread-safe, so nothing is shared — plus a scatter pool that runs
-/// per-shard sub-requests of one broadcast concurrently. The only
-/// cross-connection state is the metrics registry and the write-dedup
-/// table, both mutex-guarded.
+/// Threading model: the coordinator is a RequestHandler behind the same
+/// FrontEnd as pcdbd (server/front_end.h), so accept, framing,
+/// admission, CANCEL of queued queries and drain are pcdbd's. Each
+/// request runs on a front-end worker, holding one set of blocking shard
+/// Clients — one per shard, dialled and verified over SHARD_INFO on
+/// first use — borrowed from a mutex-guarded idle list for the request's
+/// duration. Client is not thread-safe; a set is used by one request at
+/// a time, and there are never more sets than workers. A broadcast sends
+/// QUERY to every shard before reading any answer, so the shards
+/// evaluate concurrently without a scatter pool.
 
 namespace pcdb {
 
@@ -54,36 +54,19 @@ struct CoordinatorOptions {
   /// Coordinator::port()).
   uint16_t port = 0;
   /// The shard fleet, in shard-id order (index == shard id). Must match
-  /// every shard's --shard-id/--num-shards flags; the first use of a
-  /// shard verifies its SHARD_INFO against this list.
+  /// every shard's --shard-id/--num-shards flags; each shard connection
+  /// verifies its SHARD_INFO against this list when dialled.
   std::vector<ShardEndpoint> shards;
   /// Hash-partitioned tables; num_shards is implied by `shards`.
   std::set<std::string> hashed_tables;
-  /// Concurrent client connections actually served; surplus accepted
-  /// connections queue for a free worker.
-  size_t worker_threads = 8;
-  /// SO_RCVTIMEO on client connections: bounds how long a worker can
-  /// sit in Recv before noticing Stop().
-  int client_recv_timeout_millis = 250;
   /// SO_RCVTIMEO on shard connections: a hung shard surfaces as a
   /// kTimeout (reported kUnavailable) instead of wedging the worker.
   int shard_recv_timeout_millis = 30000;
-  /// Rows per ANSWER_ROWS frame when re-framing merged answers.
-  size_t rows_per_batch = 256;
-  /// Cap on retained (tenant, writer_id) dedup entries across all
-  /// tenants; least-recently-touched entries are evicted beyond it, so
-  /// a long-lived coordinator serving many distinct writer ids stays
-  /// bounded. Eviction only weakens the *front-side* fast path: a
-  /// retried write whose entry was evicted re-broadcasts, and every
-  /// shard's own dedup state still makes it exactly-once.
-  size_t max_writer_states = 4096;
-  /// Accept-loop poll timeout; bounds Stop() latency when idle.
-  int poll_millis = 100;
 };
 
 /// \brief The scatter-gather coordinator. Start() binds the front-end
-/// listener; Stop() (or the destructor) drains the workers.
-class Coordinator {
+/// listener; Stop() (or the destructor) shuts it down.
+class Coordinator : private RequestHandler {
  public:
   explicit Coordinator(CoordinatorOptions options);
   ~Coordinator();
@@ -92,61 +75,56 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   [[nodiscard]] Status Start();
+  /// Stops the front end and closes the idle shard connections.
   void Stop();
+  /// Async-signal-safe drain request, as Server::RequestDrain.
+  void RequestDrain();
+  /// Answers everything admitted (bounded by the front end's drain
+  /// deadline), then stops, as Server::Drain without the checkpoint.
+  void Drain();
 
   /// The bound front-end port (valid after a successful Start).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return front_end_.port(); }
 
   MetricsRegistry& metrics() { return metrics_; }
 
   const PartitionMap& partition() const { return partition_; }
 
  private:
-  /// Per-connection handler state: the client socket plus one lazily
-  /// dialled Client per shard and the scatter pool for broadcasts.
-  /// Owned by exactly one connection worker for the connection's life.
-  struct Handler;
+  /// One Client per shard (index == shard id), borrowed from
+  /// idle_shards_ for the life of one request.
+  class ShardLease;
 
-  /// Coordinator-side idempotent-retry state for one (tenant, writer):
-  /// mirrors the server's CheckpointWriterState semantics so a client
-  /// retrying a fanned-out write against the coordinator gets
-  /// exactly-once behavior end to end.
-  struct WriterState {
-    uint64_t last_seq = 0;
-    IngestResult ack;  ///< As first served (duplicate = false).
-    /// LRU stamp (writer_tick_ at the last dedup hit or record), so
-    /// the map can evict the stalest entry at max_writer_states.
-    uint64_t last_touch = 0;
-  };
+  // RequestHandler: called on the front end's workers.
+  Reply Query(const QueryRequest& request,
+              const std::shared_ptr<CancellationToken>& token,
+              uint64_t queue_micros) override;
+  void Write(WriteRequest request, ReplyCallback done) override;
+  /// Fleet-aggregated metrics: counter/gauge sums and histogram bucket
+  /// merges across every shard's snapshot, with the per-shard snapshots
+  /// verbatim under "shards" and the coordinator's own registry under
+  /// "coordinator".
+  Reply StatsReply() override;
+  /// The fleet's placement: shard id kCoordinatorShardId, per-table
+  /// epoch sums.
+  Reply ShardInfoReply() override;
 
-  void RunAcceptLoop();
-  void RunConnection(Socket sock);
-  /// Dispatches one decoded frame; returns false when the connection
-  /// must close (off-protocol input).
-  [[nodiscard]] bool HandleFrame(Handler* handler, const Frame& frame);
+  /// Broadcasts one INGEST or PUNCTUATE to every shard.
+  Reply BroadcastWrite(const WriteRequest& request);
+  /// Checkpoints every shard.
+  Reply Checkpoint();
+  /// Frames a (merged or forwarded) answer.
+  static Reply AnswerReply(const AnnotatedTable& answer,
+                           const AnswerDone& done, std::string profile_json);
 
-  void HandleQuery(Handler* handler, uint64_t request_id,
-                   const QueryRequest& request);
-  void HandleWrite(Handler* handler, uint64_t request_id, bool is_punctuate,
-                   IngestRequest ingest, PunctuateRequest punctuate);
-  void HandleShardInfo(Handler* handler, uint64_t request_id);
-  void HandleCheckpoint(Handler* handler, uint64_t request_id);
-  /// Answers STATS with fleet-aggregated metrics: counter/gauge sums
-  /// and histogram bucket merges across every shard's snapshot, with
-  /// the per-shard snapshots verbatim under "shards" and the
-  /// coordinator's own registry under "coordinator".
-  void HandleStats(Handler* handler, uint64_t request_id);
-
-  /// Connects (or reuses) the handler's Client for shard `i`.
-  [[nodiscard]] Result<Client*> ShardClient(Handler* handler, size_t i);
-
-  /// Sends one ERROR frame carrying `status`.
-  void SendError(Handler* handler, uint64_t request_id,
-                 const Status& status);
-  /// Frames `answer` as the standard answer sequence and sends it.
-  void SendAnswer(Handler* handler, uint64_t request_id,
-                  const AnnotatedTable& answer, const AnswerDone& done,
-                  const std::string& profile_json);
+  /// The lease's connected, verified Client for shard `i`, dialling it
+  /// if needed.
+  [[nodiscard]] Result<Client*> ShardClient(ShardLease* lease, size_t i);
+  /// Records a failed call on shard `i`: counts it, closes the lease's
+  /// connection (the next request redials and re-verifies) and, after a
+  /// transport failure, every idle set's connection to that shard, and
+  /// returns the client-facing status.
+  Status LegFailed(ShardLease* lease, size_t i, const Status& status);
 
   /// Wraps a shard-level failure for the client: transport-class
   /// failures (dead connection, timeout, refused dial) become
@@ -155,48 +133,27 @@ class Coordinator {
   static Status ShardStatus(size_t shard, const Status& status);
 
   CoordinatorOptions options_;
+  /// The front end's settings: host and port from options_, pcdbd's
+  /// defaults otherwise.
+  ServerOptions serve_;
   PartitionMap partition_;
   MetricsRegistry metrics_;
 
-  Counter* c_requests_ = nullptr;
-  Counter* c_errors_ = nullptr;
   Counter* c_shard_errors_ = nullptr;
   Counter* c_writes_deduped_ = nullptr;
-  Counter* c_protocol_errors_ = nullptr;
-  Counter* c_connections_ = nullptr;
   Counter* c_fleet_stats_ = nullptr;
   Counter* c_profile_merges_ = nullptr;
-  Histogram* h_latency_ = nullptr;
-  /// Live (tenant, writer_id) dedup entries; capped at
-  /// CoordinatorOptions::max_writer_states.
-  Gauge* g_writer_states_ = nullptr;
   /// Per-shard round-trip latency, index == shard id (dynamic names
   /// composed from kMetricShardLatency).
   std::vector<Histogram*> h_shard_latency_;
 
-  /// Evicts least-recently-touched entries until the dedup map is back
-  /// under CoordinatorOptions::max_writer_states.
-  void EvictStaleWritersLocked() PCDB_REQUIRES(writers_mu_);
+  Mutex shards_mu_;
+  /// Shard connection sets not leased by a running request.
+  std::vector<std::vector<Client>> idle_shards_ PCDB_GUARDED_BY(shards_mu_);
 
-  Mutex writers_mu_;
-  /// tenant -> writer_id -> dedup state, bounded by max_writer_states
-  /// (LRU on WriterState::last_touch).
-  std::map<std::string, std::map<uint64_t, WriterState>> writers_
-      PCDB_GUARDED_BY(writers_mu_);
-  /// Monotonic LRU clock for WriterState::last_touch.
-  uint64_t writer_tick_ PCDB_GUARDED_BY(writers_mu_) = 0;
-  /// Total entries across all tenants of writers_.
-  size_t writer_count_ PCDB_GUARDED_BY(writers_mu_) = 0;
-
-  Listener listener_;
-  std::atomic<bool> stop_requested_{false};
-
-  Mutex state_mu_;
-  bool started_ PCDB_GUARDED_BY(state_mu_) = false;
-
-  /// Declared last: destroyed (joined) before the members the tasks use.
-  std::unique_ptr<ThreadPool> accept_pool_;
-  std::unique_ptr<ThreadPool> conn_pool_;
+  /// Declared last: destroyed first, so the loop and every worker job
+  /// are joined while the state they use still exists.
+  FrontEnd front_end_;
 };
 
 }  // namespace pcdb

@@ -161,7 +161,9 @@ inline constexpr const char* kAllSpanNames[] = {
 
 // --- Metric names (obs/metrics.h).
 
-// Per-Server registry (server/server.cc): counters.
+// Per-server registry: counters. The front end (server/front_end.cc)
+// registers the request, connection and admission metrics in the
+// registry of whichever Server or Coordinator it serves.
 inline constexpr char kMetricRequestsTotal[] = "requests_total";
 inline constexpr char kMetricShedTotal[] = "shed_total";
 inline constexpr char kMetricCacheHits[] = "cache_hits";
@@ -209,9 +211,6 @@ inline constexpr char kMetricRequestLatency[] = "request_latency";
 // this prefix.
 inline constexpr char kMetricShardLatency[] = "shard_latency";
 inline constexpr char kMetricShardErrorsTotal[] = "shard_errors_total";
-/// Gauge: live (tenant, writer_id) idempotent-retry dedup entries held
-/// by the coordinator, bounded by CoordinatorOptions::max_writer_states.
-inline constexpr char kMetricWriterStates[] = "writer_states";
 /// STATS requests the coordinator answered with fleet-aggregated
 /// metrics (counter sums + histogram bucket merges across shards).
 inline constexpr char kMetricFleetStatsTotal[] = "fleet_stats_total";
@@ -269,7 +268,6 @@ inline constexpr const char* kAllMetricNames[] = {
     kMetricRequestLatency,
     kMetricShardLatency,
     kMetricShardErrorsTotal,
-    kMetricWriterStates,
     kMetricFleetStatsTotal,
     kMetricProfileMergesTotal,
     kMetricEnginePatternsMinimized,

@@ -1,7 +1,8 @@
 #include "server/protocol.h"
 namespace pcdb {
 bool Handle(FrameType t) {
-  return t == FrameType::kPing || t == FrameType::kPong;
+  return t == FrameType::kPing || t == FrameType::kPong ||
+         t == FrameType::kShardInfo || t == FrameType::kShardInfoResult;
 }
 PingRequest Inject(uint64_t trace_id, uint64_t parent_span_id) {
   PingRequest req;

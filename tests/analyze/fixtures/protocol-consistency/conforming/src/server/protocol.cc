@@ -1,7 +1,8 @@
 #include "server/protocol.h"
 namespace pcdb {
 bool Known(FrameType t) {
-  return t == FrameType::kPing || t == FrameType::kPong;
+  return t == FrameType::kPing || t == FrameType::kPong ||
+         t == FrameType::kShardInfo || t == FrameType::kShardInfoResult;
 }
 void EncodeTraceBlock(const PingRequest& req, std::string* out) {
   if (req.trace_id == 0) return;

@@ -4,6 +4,8 @@ namespace pcdb {
 enum class FrameType : uint8_t {
   kPing = 0x01,
   kPong = 0x80,
+  kShardInfo = 0x08,
+  kShardInfoResult = 0x8A,
 };
 struct PingRequest {
   uint64_t trace_id = 0;

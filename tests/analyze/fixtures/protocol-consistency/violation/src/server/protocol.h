@@ -4,6 +4,9 @@ enum class FrameType : uint8_t {
   kPing = 0x01,
   kPong = 0x80,
   kData = 0x80,
+  kShardInfo = 0x08,
+  kShardPing = 0x09,
+  kShardInfoResult = 0x8A,
 };
 struct PingRequest {
   uint64_t trace_id = 0;

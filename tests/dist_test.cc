@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 #include "common/exec_context.h"
 #include "common/failpoint.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "dist/coordinator.h"
 #include "dist/partition.h"
 #include "obs/trace.h"
@@ -33,6 +35,17 @@
 
 namespace pcdb {
 namespace {
+
+/// Disarms every failpoint a test armed, then re-arms the process's
+/// PCDB_FAILPOINTS spec, so an injection sweep over this binary
+/// (tools/ci.sh faults) reaches every test rather than only the first.
+void ResetFailpointsToEnvironment() {
+  Failpoints::Global().Clear();
+  const char* env = std::getenv("PCDB_FAILPOINTS");
+  if (env != nullptr) {
+    EXPECT_TRUE(Failpoints::Global().ActivateFromString(env).ok()) << env;
+  }
+}
 
 constexpr const char* kQhwSql =
     "SELECT * FROM Warnings W JOIN Maintenance M ON W.ID=M.ID "
@@ -292,7 +305,7 @@ class DistTest : public ::testing::Test {
   void TearDown() override {
     // Belt and braces: a test that throws mid-iteration (the fault
     // matrix) must not leak an armed failpoint into the next test.
-    Failpoints::Global().Clear();
+    ResetFailpointsToEnvironment();
     if (coordinator_ != nullptr) coordinator_->Stop();
     for (auto& shard : shards_) shard->Stop();
   }
@@ -305,9 +318,6 @@ class DistTest : public ::testing::Test {
     // the fault-matrix iterations (where an armed failpoint can wedge a
     // shard connection) from serializing 30-second hangs.
     coptions.shard_recv_timeout_millis = 2000;
-    if (max_writer_states_ > 0) {
-      coptions.max_writer_states = max_writer_states_;
-    }
     for (uint32_t s = 0; s < num_shards; ++s) {
       AnnotatedDatabase adb = MakeMaintenanceDatabase();
       if (num_shards > 1) {
@@ -343,10 +353,12 @@ class DistTest : public ::testing::Test {
     AnnotatedDatabase adb = MakeMaintenanceDatabase();
     Result<ExprPtr> plan = PlanSql(sql, adb.database());
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return "";
     ExecContext ctx;
     Result<AnnotatedTable> answer =
         EvaluateAnnotated(**plan, adb, AnnotatedEvalOptions{}, ctx);
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    if (!answer.ok()) return "";
     answer->data.Sort();
     answer->patterns.Sort();
     return EncodeAnswer(*answer, 256).CanonicalBytes();
@@ -369,8 +381,6 @@ class DistTest : public ::testing::Test {
 
   std::vector<std::unique_ptr<Server>> shards_;
   std::unique_ptr<Coordinator> coordinator_;
-  /// When nonzero, StartFleet caps the coordinator's writer-dedup map.
-  size_t max_writer_states_ = 0;
 };
 
 /// The tentpole differential: distributed answers for N in {1, 2, 3}
@@ -536,8 +546,9 @@ TEST_F(DistTest, CoordinatorDedupsRetriedWrites) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(first->duplicate);
   EXPECT_EQ(first->rows_ingested, 1u);
-  // Identical (writer_id, seq): served from the coordinator's dedup
-  // table with the original counters, applied nowhere.
+  // Identical (writer_id, seq): every shard leg carries the client's
+  // identity, so each shard serves it from its own dedup state with the
+  // original counters, and it is applied nowhere.
   Result<IngestResult> second = client.Ingest("Warnings", row, pinned);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second->duplicate);
@@ -549,11 +560,10 @@ TEST_F(DistTest, CoordinatorDedupsRetriedWrites) {
 }
 
 TEST_F(DistTest, WriterDedupStateIsBoundedAndEvictionKeepsExactlyOnce) {
-  // Cap the coordinator's dedup map at 2 writer identities, then write
-  // with 4 distinct writers: the oldest entries are evicted, and a
-  // retry of an evicted (writer_id, seq) re-broadcasts — where every
-  // shard's own dedup still applies it exactly once.
-  max_writer_states_ = 2;
+  // Write with 4 distinct writers, then retry the first one's
+  // (writer_id, seq): the coordinator keeps no writer state of its own,
+  // so the retry re-broadcasts — where every shard's own dedup applies
+  // it exactly once.
   StartFleet(2);
   Client client = ConnectOrDie();
   for (uint64_t w = 1; w <= 4; ++w) {
@@ -568,8 +578,7 @@ TEST_F(DistTest, WriterDedupStateIsBoundedAndEvictionKeepsExactlyOnce) {
     ASSERT_TRUE(ack.ok()) << ack.status().ToString();
     EXPECT_FALSE(ack->duplicate);
   }
-  // Writer 1 was evicted from the coordinator's front-side map, so this
-  // retry is re-broadcast — but no row is applied twice.
+  // The retry is re-broadcast, but no row is applied twice.
   ClientWriteOptions pinned = RetractPolicy();
   pinned.writer_id = 1;
   pinned.seq = 1;
@@ -583,8 +592,6 @@ TEST_F(DistTest, WriterDedupStateIsBoundedAndEvictionKeepsExactlyOnce) {
       client.Query("SELECT * FROM Warnings WHERE week=91");
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_EQ(answer->table.data.num_rows(), 1u);
-  // The cap is observable: the writer_states gauge never exceeds it.
-  EXPECT_LE(coordinator_->metrics().GaugeValue("writer_states"), 2);
 }
 
 TEST_F(DistTest, LostShardDegradesToUnavailableNeverWrongCompleteness) {
@@ -697,6 +704,72 @@ TEST_F(DistTest, PingStatsAndCheckpointWork) {
   Result<CheckpointResult> ckpt = client.Checkpoint();
   EXPECT_FALSE(ckpt.ok());
   EXPECT_EQ(ckpt.status().code(), StatusCode::kUnavailable);
+}
+
+// ---------------------------------------------------------------------------
+// The coordinator serves from pcdbd's front end: idle connections hold
+// no worker, and queued queries, CANCEL and drain behave as in pcdbd.
+
+TEST_F(DistTest, IdleConnectionsDoNotStarveANewClient) {
+  StartFleet(3);
+  std::vector<Client> idle;
+  for (int i = 0; i < 8; ++i) {
+    idle.push_back(ConnectOrDie());
+    ASSERT_TRUE(idle.back().Ping().ok());
+  }
+  ClientOptions copts;
+  copts.recv_timeout_millis = 5000;
+  Result<Client> ninth =
+      Client::Connect("127.0.0.1", coordinator_->port(), copts);
+  ASSERT_TRUE(ninth.ok()) << ninth.status().ToString();
+  Result<ClientAnswer> answer = ninth->Query(kQhwSql);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(NormalizedBytes(*std::move(answer)), ReferenceBytes(kQhwSql));
+}
+
+TEST_F(DistTest, QueuedBroadcastIsCancelled) {
+  StartFleet(3);
+  Client client = ConnectOrDie();
+  // Slow shard evaluation keeps the coordinator's four query slots busy
+  // with the first four broadcasts while the fifth waits in its queue.
+  Failpoints::Global().Activate("annotated.operator",
+                                FailpointSpec::Sleep(50));
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 5; ++i) {
+    Result<uint64_t> id = client.SendQuery(kQhwSql);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(client.Cancel(ids.back()).ok());
+  Result<ClientAnswer> cancelled = client.ReadAnswer(ids.back());
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+      << cancelled.status().ToString();
+  for (size_t i = 0; i + 1 < ids.size(); ++i) {
+    Result<ClientAnswer> answer = client.ReadAnswer(ids[i]);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  }
+  EXPECT_EQ(coordinator_->metrics().CounterValue("cancelled_total"), 1u);
+}
+
+TEST_F(DistTest, DrainAnswersAnAdmittedBroadcast) {
+  StartFleet(3);
+  Client client = ConnectOrDie();
+  Failpoints::Global().Activate("annotated.operator",
+                                FailpointSpec::Sleep(50));
+  Result<uint64_t> id = client.SendQuery(kQhwSql);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  // Let the coordinator admit the query before the drain starts.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ThreadPool drainer(2);  // a 1-thread pool runs tasks inline on Submit
+  drainer.Submit([this] { coordinator_->Drain(); });
+  Result<ClientAnswer> answer = client.ReadAnswer(*id);
+  drainer.Wait();
+  Failpoints::Global().Deactivate("annotated.operator");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(NormalizedBytes(*std::move(answer)), ReferenceBytes(kQhwSql));
+  // Drained: the coordinator no longer listens.
+  EXPECT_FALSE(Client::Connect("127.0.0.1", coordinator_->port()).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -42,15 +43,26 @@ void CaptureServerLogLine(const std::string& line) {
   g_server_log_capture += '\n';
 }
 
+/// Disarms every failpoint a test armed, then re-arms the process's
+/// PCDB_FAILPOINTS spec, so an injection sweep over this binary
+/// (tools/ci.sh faults) reaches every test rather than none.
+void ResetFailpointsToEnvironment() {
+  Failpoints::Global().Clear();
+  const char* env = std::getenv("PCDB_FAILPOINTS");
+  if (env != nullptr) {
+    EXPECT_TRUE(Failpoints::Global().ActivateFromString(env).ok()) << env;
+  }
+}
+
 /// End-to-end serve-path tests: a real Server on an ephemeral loopback
 /// port, exercised through the real Client. Failpoints are global, so
-/// every test starts and ends clean.
+/// every test starts and ends with only the environment's armed.
 class ServerTest : public ::testing::Test {
  protected:
-  void SetUp() override { Failpoints::Global().Clear(); }
+  void SetUp() override { ResetFailpointsToEnvironment(); }
   void TearDown() override {
     if (server_ != nullptr) server_->Stop();
-    Failpoints::Global().Clear();
+    ResetFailpointsToEnvironment();
   }
 
   void StartServer(ServerOptions options = {}) {
@@ -73,12 +85,14 @@ class ServerTest : public ::testing::Test {
     AnnotatedDatabase adb = MakeMaintenanceDatabase();
     Result<ExprPtr> plan = PlanSql(sql, adb.database());
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return "";
     ExecContext ctx;
     if (max_patterns > 0) ctx.WithPatternBudget(max_patterns);
     AnnotatedEvalOptions options;  // matches ServerOptions defaults
     Result<AnnotatedTable> answer =
         EvaluateAnnotated(**plan, adb, options, ctx);
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    if (!answer.ok()) return "";
     return EncodeAnswer(*answer, rows_per_batch).CanonicalBytes();
   }
 

@@ -1,11 +1,14 @@
-"""blocking-in-loop: the server event-loop thread never blocks.
+"""blocking-in-loop: the front end's event-loop thread never blocks.
 
-pcdbd's Server runs one poll-driven loop thread; everything that can
-take unbounded time (query evaluation, write application) is handed to
-the eval pool. A sleep, filesystem touch, or outbound connect on the
-loop thread stalls every connection at once, so the checker walks the
-static call graph of src/server/server.cc from Server::RunLoop and
-flags blocking primitives reachable on that thread.
+pcdbd and pcdb_coord share one FrontEnd that runs one poll-driven loop
+thread; everything that can take unbounded time (query evaluation,
+write application, shard round trips) is handed to the worker pool. A
+sleep, filesystem touch, or outbound connect on the loop thread stalls
+every connection at once, so the checker walks the static call graph
+of src/server/front_end.cc from FrontEnd::RunLoop and flags blocking
+primitives reachable on that thread — and any call into the request
+handler (`handler_->`), which may block by contract and so must only
+run in a worker job.
 
 Work dispatched through a pool's Submit() runs on a pool thread, so
 lambda arguments to Submit calls are blanked before extracting callees.
@@ -14,29 +17,30 @@ translation units (the Socket wrappers) are nonblocking by design and
 covered by their own reviews; the checker's job is to keep obviously
 blocking primitives from creeping into the loop's own code paths.
 
-Silent on trees without src/server/server.cc.
+Silent on trees without src/server/front_end.cc.
 """
 
 import re
 
 from ..framework import Finding, checker
 
-SERVER_CC = "src/server/server.cc"
+FRONT_END_CC = "src/server/front_end.cc"
 SEED = "RunLoop"
 
-DEF_RE = re.compile(r"^\S[^=\n]*\bServer::(\w+)\s*\(", re.MULTILINE)
+DEF_RE = re.compile(r"^\S[^=\n]*\bFrontEnd::(\w+)\s*\(", re.MULTILINE)
 
 BLOCKING_RE = re.compile(
     r"\b(sleep_for|sleep_until|usleep|nanosleep|"
     r"std::(?:i|o)?fstream|fopen|freopen|getline|"
     r"TcpConnect|system|popen|WaitIdle|Await)\s*[(<]"
-    r"|\bstd::this_thread::sleep\b")
+    r"|\bstd::this_thread::sleep\b"
+    r"|\bhandler_\s*->")
 
 CALL_RE = re.compile(r"(?<![\w.>:])(\w+)\s*\(")
 
 
 def _function_bodies(sf):
-    """name -> (body text, body start line) for Server:: definitions."""
+    """name -> (body text, body start line) for FrontEnd:: definitions."""
     out = {}
     for m in DEF_RE.finditer(sf.pure):
         open_brace = sf.pure.find("{", m.end())
@@ -82,16 +86,16 @@ def _blank_submit_args(body):
 
 
 @checker("blocking-in-loop",
-         "no sleeps, filesystem I/O, or connects reachable on the "
-         "Server event-loop thread")
+         "no sleeps, filesystem I/O, connects, or request-handler calls "
+         "reachable on the front end's event-loop thread")
 def blocking_in_loop(repo):
-    sf = repo.get(SERVER_CC)
+    sf = repo.get(FRONT_END_CC)
     if sf is None:
         return
     bodies = _function_bodies(sf)
     if SEED not in bodies:
-        yield Finding("blocking-in-loop", SERVER_CC, 1,
-                      f"Server::{SEED} not found; the event-loop seed "
+        yield Finding("blocking-in-loop", FRONT_END_CC, 1,
+                      f"FrontEnd::{SEED} not found; the event-loop seed "
                       f"of the reachability walk is gone")
         return
 
@@ -118,7 +122,7 @@ def blocking_in_loop(repo):
             line = start_line + body.count("\n", 0, m.start())
             what = m.group(0).rstrip("(<").strip()
             yield Finding(
-                "blocking-in-loop", SERVER_CC, line,
-                f"'{what}' in Server::{name} is reachable from the "
+                "blocking-in-loop", FRONT_END_CC, line,
+                f"'{what}' in FrontEnd::{name} is reachable from the "
                 f"event-loop thread (via {SEED}); blocking there stalls "
-                f"every connection — move the work to the eval pool")
+                f"every connection — move the work to the worker pool")

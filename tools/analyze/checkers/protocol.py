@@ -8,10 +8,12 @@ enumerator the checker requires:
   - client handling in src/server/client.cc (a frame the server can
     send that the client would treat as stream corruption is a bug
     waiting for a version skew);
-  - coordinator handling in src/dist/coordinator.cc for every Shard*
-    enumerator (the SHARD_* opcodes exist for the distributed front
-    end; a coordinator that cannot speak one of them would strand the
-    fleet on version skew);
+  - for every Shard* request enumerator: routing to the request
+    handler in src/server/front_end.cc, and the coordinator handler's
+    answer (the matching Shard*Result) in src/dist/coordinator.cc (the
+    SHARD_* opcodes exist for the distributed front end; a coordinator
+    that cannot answer one of them would strand the fleet on version
+    skew);
   - every EncodeXPayload in protocol.h has a matching DecodeXPayload
     (and vice versa), and both names appear in tests/protocol_test.cc —
     a codec without a round-trip test has no wire contract;
@@ -30,6 +32,7 @@ from ..framework import Finding, checker
 PROTO_H = "src/server/protocol.h"
 PROTO_CC = "src/server/protocol.cc"
 CLIENT_CC = "src/server/client.cc"
+FRONT_END_CC = "src/server/front_end.cc"
 COORD_CC = "src/dist/coordinator.cc"
 TEST_CC = "tests/protocol_test.cc"
 
@@ -98,24 +101,40 @@ def protocol_consistency(repo):
                     "protocol-consistency", PROTO_H, line,
                     f"FrameType::k{name} has no {role} in {rel}")
 
-    # Distributed opcodes: every Shard* enumerator must be handled by
-    # the coordinator, which is the component the SHARD_* frames exist
-    # for. Silent on trees that predate src/dist (fixtures).
-    shard_enums = [(n, line) for n, _, line in enumerators
-                   if n.startswith("Shard")]
+    # Distributed opcodes: every Shard* request must reach the request
+    # handler through the shared front end, and the coordinator — the
+    # component the SHARD_* frames exist for — must answer it with the
+    # matching Shard*Result. Silent on trees that predate src/dist
+    # (fixtures).
+    names = {n for n, _, _ in enumerators}
+    shard_requests = [(n, line) for n, value, line in enumerators
+                      if n.startswith("Shard") and value < 0x80]
     coord = repo.get(COORD_CC)
-    if shard_enums and coord is None:
-        yield Finding("protocol-consistency", PROTO_H, shard_enums[0][1],
+    if shard_requests and coord is None:
+        yield Finding("protocol-consistency", PROTO_H, shard_requests[0][1],
                       f"FrameType declares Shard* opcodes but {COORD_CC} "
                       f"is missing; the coordinator is their consumer")
     elif coord is not None:
-        for name, line in shard_enums:
-            if not re.search(r"\bFrameType::k%s\b" % re.escape(name),
-                             coord.pure):
+        front_end = repo.get(FRONT_END_CC)
+        for name, line in shard_requests:
+            if front_end is None or not re.search(
+                    r"\bFrameType::k%s\b" % re.escape(name),
+                    front_end.pure):
                 yield Finding(
                     "protocol-consistency", PROTO_H, line,
-                    f"FrameType::k{name} has no coordinator handling in "
-                    f"{COORD_CC}")
+                    f"FrameType::k{name} is not routed to the request "
+                    f"handler in {FRONT_END_CC}")
+            result = name + "Result"
+            if result not in names:
+                yield Finding(
+                    "protocol-consistency", PROTO_H, line,
+                    f"FrameType::k{name} has no k{result} reply opcode")
+            elif not re.search(r"\bFrameType::k%s\b" % re.escape(result),
+                               coord.pure):
+                yield Finding(
+                    "protocol-consistency", PROTO_H, line,
+                    f"FrameType::k{name} has no coordinator answer "
+                    f"(FrameType::k{result}) in {COORD_CC}")
 
     # Encode/Decode pairing and round-trip test coverage.
     codecs = {}

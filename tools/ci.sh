@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point. Stages:
 #   tools/ci.sh            # tier-1 build + full ctest, then the TSan
-#                          # concurrency suites (pool, faults, server)
+#                          # concurrency suites (pool, faults, server,
+#                          # dist)
 #   tools/ci.sh --asan     # additionally run the full suite under ASan/UBSan
 #   tools/ci.sh analyze    # static stages: pcdb-analyze checker framework
 #                          # (SARIF archived at build/analyze/analyze.sarif),
@@ -17,8 +18,9 @@
 #   tools/ci.sh faults     # fault-injection matrix: rerun the suite with
 #                          # benign sleep failpoints (results must be
 #                          # unchanged), then arm every compiled-in site
-#                          # with error/throw actions and require that no
-#                          # test binary dies abnormally
+#                          # with error/throw actions and require that
+#                          # every swept test binary fails cleanly: none
+#                          # dies abnormally, none passes untouched
 #   tools/ci.sh ingest     # streaming write path: write-path suites, a live
 #                          # ingest/punctuate smoke through pcdb_client, then
 #                          # two mixed loadgen runs (punctuation-heavy vs
@@ -64,14 +66,17 @@ run_tier1() {
   cmake --build --preset release -j "$JOBS"
   ctest --preset release -j "$JOBS"
 
-  echo "=== TSan: pool + fault-injection + governed-context + server suites ==="
+  echo "=== TSan: pool + fault-injection + governed-context + server + dist suites ==="
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" \
-    --target fault_injection_test exec_context_test server_test
-  # fault_injection_test holds the ThreadPoolTest suite.
+    --target fault_injection_test exec_context_test server_test dist_test
+  # fault_injection_test holds the ThreadPoolTest suite; dist_test runs
+  # the coordinator's jobs on the shared front end's workers and its
+  # shard-connection idle list.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/fault_injection_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/exec_context_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/server_test
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dist_test
 }
 
 run_asan() {
@@ -229,7 +234,7 @@ run_faults() {
   PCDB_FAILPOINTS="pool.dispatch=sleep(1);minimize.pattern=prob(0.01,7):sleep(1)" \
     ctest --preset release -j "$JOBS"
 
-  echo "--- error/throw injection: tests may fail, the process may not die"
+  echo "--- error/throw injection: tests must fail, the process may not die"
   # Keep this list in sync with Failpoints::AllSites()
   # (fault_injection_test cross-checks the same list programmatically).
   # pool.dispatch is deliberately absent here: an error or throw there
@@ -243,7 +248,7 @@ run_faults() {
     server.ingest wal.open wal.append wal.append.short wal.corrupt \
     wal.fsync checkpoint.write checkpoint.rename recovery.record"
   local bins="relational_test minimize_test annotated_eval_test \
-    protocol_test server_test wal_test"
+    protocol_test server_test wal_test dist_test"
   local action site spec bin rc
   for action in "error" "error(timeout)" "throw"; do
     spec=""
@@ -251,12 +256,18 @@ run_faults() {
     for bin in $bins; do
       rc=0
       PCDB_FAILPOINTS="$spec" "./build/tests/$bin" >/dev/null 2>&1 || rc=$?
-      # gtest exits 0 (all passed) or 1 (assertions failed; expected when
-      # every workload gets a fault injected). Anything else — an abort,
-      # an uncaught exception, a signal — means a failpoint escaped the
-      # Status channel.
+      # gtest exits 1 when assertions failed — expected, since every
+      # workload gets a fault injected. Anything above 1 — an abort, an
+      # uncaught exception, a signal — means a failpoint escaped the
+      # Status channel. Exit 0 means the injection reached nothing: the
+      # binary disarmed the environment's spec or its sites moved.
       if (( rc > 1 )); then
         echo "ERROR: $bin died (exit $rc) under PCDB_FAILPOINTS=$spec" >&2
+        exit 1
+      fi
+      if (( rc == 0 )); then
+        echo "ERROR: $bin passed under PCDB_FAILPOINTS=$spec; the" \
+          "injection exercised nothing" >&2
         exit 1
       fi
       echo "$bin under '$action' injection: exit $rc (clean)"
@@ -1086,8 +1097,9 @@ run_dist() {
     --hashed Warnings --wal-dir "${waldirs[1]}"
   local converged=0
   for i in $(seq 1 100); do
-    # Each fresh client connection makes the coordinator redial the
-    # fleet, so recovery is visible as soon as the shard listens.
+    # The coordinator closed its connections to the dead shard when
+    # their calls failed and redials on the next request, so recovery
+    # is visible as soon as the shard listens.
     if ./build/tools/pcdb_client --port "$coord_port" \
         --sql "SELECT * FROM Warnings" >/dev/null 2>&1; then
       converged=1

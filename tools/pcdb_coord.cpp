@@ -7,8 +7,7 @@
 // a single pcdbd.
 //
 //   pcdb_coord --shards HOST:PORT,HOST:PORT,... [--port N] [--host H]
-//              [--hashed T1,T2,...] [--worker-threads N]
-//              [--shard-timeout-ms N] [--max-writer-states N]
+//              [--hashed T1,T2,...] [--shard-timeout-ms N]
 //              [--metrics-dump]
 //
 // --shards lists the fleet in shard-id order; each shard must have been
@@ -18,9 +17,12 @@
 // port is bound; the single line "pcdb_coord listening on HOST:PORT" on
 // stdout announces it (tools/ci.sh parses that line).
 //
-// SIGINT/SIGTERM stop the front end: the accept loop exits, in-flight
-// requests finish, and the process exits 0. The shards are independent
-// processes and keep running.
+// The front end is pcdbd's (same event loop, admission control and
+// limits), so SIGINT/SIGTERM drain exactly as they do for pcdbd: the
+// handler only calls Coordinator::RequestDrain() (async-signal-safe),
+// the loop stops accepting, answers everything admitted, and the
+// process exits 0. The shards are independent processes and keep
+// running.
 
 #include <chrono>
 #include <csignal>
@@ -36,8 +38,14 @@
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
+pcdb::Coordinator* g_coordinator = nullptr;
 
-void HandleSignal(int /*signum*/) { g_stop = 1; }
+// Installed for SIGINT/SIGTERM after g_coordinator is set; RequestDrain
+// is async-signal-safe by contract, as for pcdbd.
+void HandleSignal(int /*signum*/) {
+  g_stop = 1;
+  if (g_coordinator != nullptr) g_coordinator->RequestDrain();
+}
 
 // --flag=V or --flag V; returns true and advances *i on a match.
 bool ParseUint(int argc, char** argv, int* i, const char* flag,
@@ -101,20 +109,15 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.hashed_tables = *std::move(hashed);
-    } else if (ParseUint(argc, argv, &i, "--worker-threads", &n)) {
-      options.worker_threads = n;
     } else if (ParseUint(argc, argv, &i, "--shard-timeout-ms", &n)) {
       options.shard_recv_timeout_millis = static_cast<int>(n);
-    } else if (ParseUint(argc, argv, &i, "--max-writer-states", &n)) {
-      options.max_writer_states = n;
     } else if (std::strcmp(argv[i], "--metrics-dump") == 0) {
       metrics_dump = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: pcdb_coord --shards HOST:PORT,HOST:PORT,...\n"
           "                  [--port N] [--host H] [--hashed T1,T2,...]\n"
-          "                  [--worker-threads N] [--shard-timeout-ms N]\n"
-          "                  [--max-writer-states N] [--metrics-dump]\n");
+          "                  [--shard-timeout-ms N] [--metrics-dump]\n");
       return 0;
     } else {
       pcdb::LogError("unknown flag (see --help)").Str("flag", argv[i]);
@@ -137,6 +140,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  g_coordinator = &coord;
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
@@ -149,8 +153,8 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  pcdb::LogInfo("shutting down");
-  coord.Stop();
+  pcdb::LogInfo("shutting down (drain)");
+  coord.Drain();
   if (metrics_dump) {
     std::printf("%s\n", coord.metrics().ToJson().c_str());
   }
